@@ -21,12 +21,13 @@ import tempfile
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, GaborError, PreconditionError
+from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
+                     PreconditionError)
 from .frameop import (DEFAULT_GALERKIN_DIM, GaborSystemSpec, bounds_to_json,
                       frame_bounds, gl_predicate)
-from .grid import DEFAULT_STEP
 from .hermite import dilated_hermite
-from .lattice import DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm
+from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm,
+                      enumeration_box)
 from .certify import certificate, certificate_to_json, certification_window
 from .scan import (DEFAULT_SCAN_GALERKIN_DIM, dilation_covariance_check,
                    records_to_csv, tightness_scan)
@@ -37,10 +38,9 @@ COMMANDS = ("hermite", "norm", "bounds", "certify", "scan", "glgrid",
 
 # every tunable a run can carry; config files may set any of these and
 # explicit flags win field by field
-CONFIG_FIELDS = ("command", "d", "n", "x", "matrix", "step", "half_width",
-                 "K", "truncation_radius", "dilation", "region_half",
-                 "region_step", "t_list", "det_max", "steps", "b", "budget",
-                 "output", "format", "seed")
+CONFIG_FIELDS = ("command", "d", "n", "x", "matrix", "K", "truncation_radius",
+                 "dilation", "region_half", "region_step", "t_list", "det_max",
+                 "steps", "b", "budget", "output", "format", "seed")
 
 
 def _parse_matrix(text):
@@ -161,8 +161,8 @@ def validate(cfg: dict) -> list:
     if not isinstance(d, int) or d < 0:
         diags.append("d must be a nonnegative integer")
         d = 0
-    for key in ("step", "half_width", "truncation_radius", "dilation",
-                "region_half", "region_step", "det_max", "b"):
+    for key in ("truncation_radius", "dilation", "region_half", "region_step",
+                "det_max", "b"):
         if key in cfg and not (isinstance(cfg[key], (int, float))
                                and cfg[key] > 0):
             diags.append(f"{key} must be positive")
@@ -179,26 +179,6 @@ def validate(cfg: dict) -> list:
         M = None
     if cmd in ("norm", "bounds", "certify", "covariance") and M is None:
         diags.append(f"{cmd} requires --matrix")
-    if cmd in ("bounds", "scan", "covariance") and isinstance(K, int) and K > d:
-        step = float(cfg.get("step", DEFAULT_STEP))
-        dil = float(cfg.get("dilation", 1.0))
-        band = math.sqrt(2 * K + 1) / (2.0 * math.pi * math.sqrt(dil))
-        freq = (math.sqrt(2 * K + 1) + math.sqrt(2 * d + 1)) \
-            / (2.0 * math.pi * math.sqrt(dil)) + 10.0 / (2.0 * math.pi)
-        if 1.0 / (2.0 * step) < freq + band + 1.0:
-            diags.append(
-                f"Nyquist guard: 1/(2*{step}) < {freq + band + 1.0:.4f}")
-    if cmd == "bounds" and M is not None:
-        radius = cfg.get("truncation_radius")
-        if radius is None:
-            spec_K = K if isinstance(K, int) and K > d else DEFAULT_GALERKIN_DIM
-            radius = (math.sqrt(2 * spec_K + 1) + math.sqrt(2 * d + 1)) + 10.0
-        inv_opnorm = float(np.linalg.norm(np.linalg.inv(M.as_array()), 2))
-        side = 2 * int(np.ceil(radius * inv_opnorm)) + 1
-        budget = int(cfg.get("budget", DEFAULT_POINT_BUDGET))
-        if side * side > budget:
-            diags.append(
-                f"budget: enumeration box {side}x{side} exceeds {budget}")
     if cmd == "hermite":
         n = cfg.get("n")
         if n is None or not isinstance(n, int) or n < 0:
@@ -213,6 +193,18 @@ def validate(cfg: dict) -> list:
                     diags.append("t_list must be positive and descending")
             except ValueError:
                 diags.append("t_list must be comma-separated floats")
+    if not diags and (cmd == "bounds" or (cmd in ("scan", "covariance")
+                                          and K is not None)):
+        # the spec decides the grid (Nyquist guard) and the enumeration box
+        try:
+            spec = _spec(cfg, M if M is not None else LatticeMatrix(1, 0, 0, 1))
+            spec.grid()
+            if cmd == "bounds":
+                enumeration_box(spec.matrix, spec.radius, spec.point_budget)
+        except BudgetError as exc:
+            diags.append(f"budget: {exc}")
+        except (CapacityError, ValueError) as exc:
+            diags.append(str(exc))
     return diags
 
 
@@ -271,21 +263,22 @@ def _run_norm(cfg: dict) -> None:
     print(f"{box_norm(M):.16g}")
 
 
-def _run_bounds(cfg: dict) -> None:
-    M = _parse_matrix(cfg["matrix"])
-    spec = GaborSystemSpec(
+def _spec(cfg: dict, M: LatticeMatrix) -> GaborSystemSpec:
+    return GaborSystemSpec(
         window_degree=int(cfg.get("d", 0)), matrix=M,
         truncation_radius=cfg.get("truncation_radius"),
         galerkin_dim=int(cfg.get("K", DEFAULT_GALERKIN_DIM)),
         window_dilation=float(cfg.get("dilation", 1.0)),
         point_budget=int(cfg.get("budget", DEFAULT_POINT_BUDGET)))
+
+
+def _run_bounds(cfg: dict) -> None:
+    spec = _spec(cfg, _parse_matrix(cfg["matrix"]))
     fb = frame_bounds(spec)
     text = bounds_to_json(spec, fb)
     ratio = fb.B_est / fb.A_est if fb.A_est > 0 else math.inf
     _emit(cfg, text,
           f"A_est={fb.A_est:.6g} B_est={fb.B_est:.6g} ratio={ratio:.6g}")
-    if cfg.get("output"):
-        print(f"A_est={fb.A_est:.6g} B_est={fb.B_est:.6g} ratio={ratio:.6g}")
 
 
 def _run_certify(cfg: dict) -> None:
@@ -304,8 +297,6 @@ def _run_certify(cfg: dict) -> None:
     word = "valid" if cert.valid else "invalid"
     _emit(cfg, text, f"certificate {word}: R={cert.ratio:.6g} "
                      f"A_cert={cert.A_cert:.6g} B_cert={cert.B_cert:.6g}")
-    if cfg.get("output"):
-        print(f"certificate {word}: R={cert.ratio:.6g}")
 
 
 def _run_scan(cfg: dict) -> None:

@@ -124,7 +124,7 @@ def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> 
     """
     grid.check_support(n, dilation)
     x = grid.points
-    h = dilated_hermite(n, dilation, x) if dilation != 1.0 else eval_hermite(n, x)
+    h = dilated_hermite(n, dilation, x)
     d2 = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / grid.step ** 2
     a = abs(dilation)
     res = x[1:-1] ** 2 * h[1:-1] - a * a * d2 - a * (2 * n + 1) * h[1:-1]

@@ -23,8 +23,10 @@ class LatticeMatrix:
     def __post_init__(self):
         for name in ("m11", "m12", "m21", "m22"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if abs(self.determinant) <= 1e-12:
-            raise ValueError("lattice matrix must be invertible (|det| > 1e-12)")
+        # |det| / ||M||_F^2 ~ 1/cond(M) is scale-free; 1e-14 is ~100x its rounding error
+        frob2 = sum(m * m for m in (self.m11, self.m12, self.m21, self.m22))
+        if not abs(self.determinant) > 1e-14 * frob2:
+            raise ValueError("lattice matrix must be invertible (|det| > 1e-14 ||M||_F^2)")
 
     @property
     def determinant(self) -> float:
@@ -86,18 +88,24 @@ class LatticePointSet:
         return self.points.shape[0]
 
 
+def enumeration_box(M: LatticeMatrix, radius: float,
+                    budget: int = DEFAULT_POINT_BUDGET) -> int:
+    """Half side kmax of the box ||k||_inf <= kmax holding every k with
+    ||Mk||_2 <= radius; BudgetError when it has more than ``budget`` points."""
+    kmax = int(np.ceil(radius * np.linalg.norm(np.linalg.inv(M.as_array()), 2)))
+    side = 2 * kmax + 1
+    if side * side > budget:
+        raise BudgetError(f"enumeration box {side}x{side} exceeds point budget {budget}")
+    return kmax
+
+
 def enumerate_points(M: LatticeMatrix, radius: float,
                      budget: int = DEFAULT_POINT_BUDGET) -> LatticePointSet:
     """All lattice points with Euclidean norm <= radius, sorted by (k1, k2)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     A = M.as_array()
-    inv_opnorm = np.linalg.norm(np.linalg.inv(A), 2)
-    kmax = int(np.ceil(radius * inv_opnorm))
-    side = 2 * kmax + 1
-    if side * side > budget:
-        raise BudgetError(
-            f"enumeration box {side}x{side} exceeds point budget {budget}")
+    kmax = enumeration_box(M, radius, budget)
     rng = np.arange(-kmax, kmax + 1)
     k1, k2 = np.meshgrid(rng, rng, indexing="ij")  # lexicographic when flattened
     ks = np.column_stack([k1.ravel(), k2.ravel()])

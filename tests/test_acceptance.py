@@ -14,6 +14,7 @@ import pytest
 
 import _acceptance_report
 import hermgabor as hg
+from _oracles import sampled_box_norm_oracle
 from hermgabor.scan import records_to_csv
 
 
@@ -53,26 +54,6 @@ def test_criterion_02_eigenrelation():
     assert ok
 
 
-def _sampled_box_norm(A, rng, n_samples):
-    raw = rng.uniform(-0.55, 0.55, size=(n_samples, 2))
-    pts = raw[np.max(np.abs(raw), axis=1) <= 0.5]
-    best = float(np.max(np.linalg.norm(pts @ A.T, axis=1)))
-    for fixed_axis in (0, 1):
-        for side in (-0.5, 0.5):
-            lo, hi = -0.5, 0.5
-            for _ in range(25):
-                s = np.linspace(lo, hi, 65)
-                z = np.empty((s.size, 2))
-                z[:, fixed_axis] = side
-                z[:, 1 - fixed_axis] = s
-                vals = np.linalg.norm(z @ A.T, axis=1)
-                k = int(np.argmax(vals))
-                best = max(best, float(vals[k]))
-                w = (hi - lo) * 0.1
-                lo, hi = max(-0.5, s[k] - w), min(0.5, s[k] + w)
-    return best
-
-
 def test_criterion_03_box_norm_oracle():
     id_err = abs(hg.box_norm(hg.LatticeMatrix(1, 0, 0, 1)) - math.sqrt(2) / 2)
     rng = np.random.default_rng(0)
@@ -83,7 +64,7 @@ def test_criterion_03_box_norm_oracle():
             if abs(np.linalg.det(a)) > 0.1:
                 break
         M = hg.LatticeMatrix.from_array(a)
-        worst = max(worst, abs(hg.box_norm(M) - _sampled_box_norm(a, rng, 10 ** 6)))
+        worst = max(worst, abs(hg.box_norm(M) - sampled_box_norm_oracle(a, rng, 10 ** 6)))
     ok = id_err < 1e-12 and worst < 1e-9
     report(3, ok, f"identity error {id_err:.2g} (< 1e-12), worst oracle "
                   f"deviation {worst:.2g} over 100 matrices (< 1e-9)")

@@ -41,7 +41,7 @@ def test_bounds_json_file(tmp_path, capsys):
     out_file = tmp_path / "bounds.json"
     code, out, _ = run(capsys, "bounds", "--d", "0", "--matrix",
                        "0.5,0,0,0.5", "--K", "16", "--output", str(out_file))
-    assert code == 0 and "A_est=" in out
+    assert code == 0 and out.count("A_est=") == 1
     fb = bounds_from_json(out_file.read_text())
     assert 0 < fb.A_est <= fb.B_est
     assert fb.galerkin_dim == 16
@@ -59,6 +59,7 @@ def test_certify_json(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--d", "0", "--matrix",
                        "0.1,0,0,0.1", "--output", str(out_file))
     assert code == 0
+    assert out.count("certificate valid") == 1
     cert = certificate_from_json(out_file.read_text())
     assert cert.valid
 
@@ -109,9 +110,10 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_config_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"matrxi": "1,0,0,1"}))
-    code, _, err = run(capsys, "norm", "--config", str(cfg))
-    assert code == 2 and "unknown config fields" in err
+    for field in ("matrxi", "step", "half_width"):
+        cfg.write_text(json.dumps({field: "1,0,0,1"}))
+        code, _, err = run(capsys, "norm", "--config", str(cfg))
+        assert code == 2 and "unknown config fields" in err
 
 
 def test_validate_only(capsys):
@@ -123,10 +125,24 @@ def test_validate_only(capsys):
     assert code == 2 and "K must be" in out
 
 
-def test_validate_nyquist_diagnostic():
-    diags = validate({"command": "bounds", "d": 10, "K": 64, "step": 1.0,
-                      "matrix": "0.5,0,0,0.5"})
-    assert any("Nyquist" in d for d in diags)
+def test_validate_nyquist_diagnostic(capsys):
+    # a small dilation widens the band the grid must carry
+    argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "64",
+            "--dilation", "0.1")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 2 and "Nyquist" in out
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "Nyquist" in err
+
+
+def test_validate_budget_diagnostic(capsys):
+    # a large dilation widens the truncation radius, hence the box
+    argv = ("bounds", "--d", "0", "--matrix", "0.01,0,0,0.01", "--K", "16",
+            "--dilation", "4", "--budget", "15000000")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 2 and out.startswith("budget")
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err
 
 
 def test_validate_requires_matrix():

@@ -8,6 +8,7 @@ from hermgabor import (FrameBounds, GaborSystemSpec, LatticeMatrix,
                        assemble_frame_matrix, bounds_from_json, bounds_to_json,
                        component_bound_aggregate, frame_bounds, gl_predicate,
                        is_frame, theorem1_predicted_bounds)
+from hermgabor import frameop
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -51,6 +52,64 @@ def test_tail_bound_small():
 def test_convergence_flag():
     fb = frame_bounds(make_spec(t=0.25, K=32))
     assert fb.converged
+    # K = max window index + 1 leaves no smaller nested test space
+    assert not frame_bounds(make_spec(d=3, K=4)).converged
+
+
+SHEARED = LatticeMatrix(0.3, 0.12, -0.05, 0.28)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_half_bounds_match_separate_assembly(monkeypatch, d):
+    # the convergence check's K/2 bounds, read off the K matrix, against an
+    # assembly at K/2
+    seen = []
+    extremal = frameop._extremal
+    monkeypatch.setattr(frameop, "_extremal",
+                        lambda S: seen.append(extremal(S)) or seen[-1])
+    spec = GaborSystemSpec(window_degree=d, matrix=SHEARED, galerkin_dim=16)
+    fb = frame_bounds(spec)
+    monkeypatch.undo()
+    (A, B), (A2, B2) = seen
+    assert (A, B) == (fb.A_est, fb.B_est)
+    ref = frame_bounds(spec.with_dim(8), check_convergence=False)
+    assert abs(A2 - ref.A_est) <= 1e-12 * B
+    assert abs(B2 - ref.B_est) <= 1e-12 * B
+
+
+def test_per_component_bounds_match_scalar_systems():
+    spec = GaborSystemSpec(window_degree=2, matrix=SHEARED, galerkin_dim=16)
+    agg = component_bound_aggregate(spec)
+    scale = agg["B_vec"]
+    for i in spec.indices:
+        ref = frame_bounds(GaborSystemSpec(window_degree=2, matrix=SHEARED,
+                                           galerkin_dim=16,
+                                           component_indices=(i,)),
+                           check_convergence=False)
+        assert abs(agg["per_component_A"][i] - ref.A_est) <= 1e-12 * scale
+        assert abs(agg["per_component_B"][i] - ref.B_est) <= 1e-12 * scale
+
+
+def test_one_assembly_per_test_dimension(monkeypatch):
+    calls = []
+    enumerate_points = frameop.enumerate_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_points(*args, **kwargs)
+
+    monkeypatch.setattr(frameop, "enumerate_points", counting)
+    frame_bounds(make_spec(d=1, K=16))
+    assert len(calls) == 1
+    component_bound_aggregate(make_spec(d=2, K=16))
+    assert len(calls) == 2
+    assert is_frame(make_spec(t=0.25, K=32)) == "frame"
+    assert len(calls) == 3
+    # a candidate refutation is re-assembled once, at K = 128
+    duplicated = GaborSystemSpec(window_degree=0, matrix=LatticeMatrix(0.5, 0, 0, 0.5),
+                                 component_indices=(0, 0), galerkin_dim=16)
+    assert is_frame(duplicated) == "not_frame"
+    assert len(calls) == 5
 
 
 def test_spec_validation():

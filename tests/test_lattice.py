@@ -2,34 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import sampled_box_norm_oracle
 from hermgabor import (BudgetError, LatticeMatrix, box_norm, covolume,
                        enumerate_points)
-
-
-def sampled_box_norm_oracle(A, rng, n_samples=10 ** 4):
-    """Sampling + shrinking-grid edge refinement; independent of the vertex
-    formula (the supremum of a convex function over the box sits on the
-    boundary, and the clipped grid search converges to the edge maximum)."""
-    raw = rng.uniform(-0.55, 0.55, size=(n_samples, 2))
-    pts = raw[np.max(np.abs(raw), axis=1) <= 0.5]
-    best = float(np.max(np.linalg.norm(pts @ A.T, axis=1)))
-    for fixed_axis in (0, 1):
-        for side in (-0.5, 0.5):
-            lo, hi = -0.5, 0.5
-            for _ in range(25):
-                s = np.linspace(lo, hi, 65)
-                z = np.empty((s.size, 2))
-                z[:, fixed_axis] = side
-                z[:, 1 - fixed_axis] = s
-                vals = np.linalg.norm(z @ A.T, axis=1)
-                k = int(np.argmax(vals))
-                best = max(best, float(vals[k]))
-                w = (hi - lo) * 0.1
-                lo, hi = max(-0.5, s[k] - w), min(0.5, s[k] + w)
-    return best
 
 
 def test_box_norm_identity():
@@ -64,6 +42,7 @@ def test_box_norm_matches_sampling_oracle():
 @given(st.floats(min_value=0.01, max_value=50.0),
        st.floats(min_value=-3, max_value=3),
        st.floats(min_value=-3, max_value=3))
+@example(t=0.5, a=1e-12, c=1e-12)  # M.scaled(t) has |det| = 5e-13
 def test_box_norm_homogeneous(t, a, c):
     try:
         M = LatticeMatrix(a, 1.0, c, -1.0)
@@ -84,6 +63,23 @@ def test_parse_and_roundtrip():
         LatticeMatrix.parse("1,2,3")
     with pytest.raises(ValueError):
         LatticeMatrix(1, 2, 2, 4)  # singular
+
+
+def test_invertibility_accepts_badly_scaled_lattices():
+    # the check is relative to ||M||_F^2, so scale alone never rejects
+    for M in (LatticeMatrix(1e6, 0, 0, 1e-6), LatticeMatrix(1e-7, 0, 0, 1e-7),
+              LatticeMatrix(1e-12, 1, 1e-12, -1),
+              LatticeMatrix(1e-12, 1, 1e-12, -1).scaled(0.5),
+              LatticeMatrix(0.15, -0.075, 0, 0.15).scaled(1e-9)):
+        assert covolume(M) > 0
+
+
+def test_invertibility_rejects_numerically_singular():
+    # rank one up to rounding, whatever the scale (the last |det| ~ 1e-3)
+    for entries in ((1, 1, 1, 1 + 1e-15), (1e-7, 2e-7, 2e-7, 4e-7),
+                    (1e6, 1e6, 1e6, 1e6 * (1 + 1e-15)), (np.nan, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            LatticeMatrix(*entries)
 
 
 def test_enumerate_counts():
