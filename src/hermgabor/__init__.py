@@ -8,10 +8,10 @@ tightness scans / scaling-law probes over lattice ladders (`scan`).
 from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
                      PreconditionError, ResolutionError)
 from .grid import DEFAULT_STEP, GridSpec
-from .hermite import (HermiteSpec, VectorWindow, dilated_hermite,
-                      dilated_hermite_all, dlambda, eval_hermite,
-                      eval_hermite_all, hermite_operator_residual,
-                      hermite_window, window_from_indices)
+from .hermite import (VectorWindow, dilated_hermite, dilated_hermite_all,
+                      dlambda, eval_hermite, eval_hermite_all,
+                      hermite_operator_residual, hermite_window,
+                      window_from_indices)
 from .lattice import (LatticeMatrix, LatticePointSet, box_norm, covolume,
                       enumerate_points)
 from .timefreq import (Region, SampledField, SampledSignal, TFPoint,
@@ -37,7 +37,7 @@ __all__ = [
     "BudgetError", "CapacityError", "ConvergenceError", "GaborError",
     "PreconditionError", "ResolutionError",
     "DEFAULT_STEP", "GridSpec",
-    "HermiteSpec", "VectorWindow", "dilated_hermite", "dilated_hermite_all",
+    "VectorWindow", "dilated_hermite", "dilated_hermite_all",
     "dlambda", "eval_hermite", "eval_hermite_all",
     "hermite_operator_residual", "hermite_window", "window_from_indices",
     "LatticeMatrix", "LatticePointSet", "box_norm", "covolume",

@@ -161,17 +161,22 @@ def _disc_offsets(hx: float, hxi: float, r: float):
     return offs
 
 
-def oscillation(F: SampledField, r: float) -> SampledField:
-    """Pointwise sup of |F(p) - F(q)| over grid nodes q within distance < r."""
-    hx, hxi = F.x_step, F.xi_step
-    offs = _disc_offsets(hx, hxi, r)
-    if not offs:
+def check_resolution(r: float, hx: float, hxi: float) -> None:
+    """ResolutionError when the disc of radius r holds no grid neighbour."""
+    if not r > min(hx, hxi):
         raise ResolutionError(
             f"radius {r} is below the grid resolution ({hx} x {hxi}); "
             "the discrete ball contains no neighbor")
+
+
+def oscillation(F: SampledField, r: float) -> SampledField:
+    """Pointwise sup of |F(p) - F(q)| over grid nodes q within distance < r
+    (a real field)."""
+    hx, hxi = F.x_step, F.xi_step
+    check_resolution(r, hx, hxi)
     nx, nxi = F.values.shape
     out = np.zeros((nx, nxi))
-    for (di, dj) in offs:
+    for (di, dj) in _disc_offsets(hx, hxi, r):
         s0, s1 = max(di, 0), max(-di, 0)
         t0, t1 = max(dj, 0), max(-dj, 0)
         a = F.values[s0:nx - s1, t0:nxi - t1]
@@ -180,13 +185,13 @@ def oscillation(F: SampledField, r: float) -> SampledField:
         view = out[s0:nx - s1, t0:nxi - t1]
         np.maximum(view, diff, out=view)
     return SampledField(x_axis=F.x_axis.copy(), xi_axis=F.xi_axis.copy(),
-                        values=out.astype(complex))
+                        values=out)
 
 
 def osc_l1(F: SampledField, r: float) -> float:
     """Riemann L1 norm of the oscillation field; the ratio R(r)."""
     osc = oscillation(F, r)
-    return float(F.x_step * F.xi_step * np.sum(osc.values.real))
+    return float(F.x_step * F.xi_step * np.sum(osc.values))
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,10 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||."""
     _check_orthonormal(w)
+    if region is None:
+        region = default_region(w.degree)
     r = box_norm(M)
+    check_resolution(r, region.x_step, region.xi_step)
     amb = ambiguity(w, region)
     R = osc_l1(amb.field, r)
     det = covolume(M)
@@ -247,12 +255,15 @@ def c_lower_estimate(w: VectorWindow, r_list, region: Region = None) -> float:
     r_list = list(r_list)
     if not r_list:
         raise ValueError("r_list must be nonempty")
+    if min(r_list) <= 0:
+        raise ValueError("radii must be positive")
     _check_orthonormal(w)
+    if region is None:
+        region = default_region(w.degree)
+    check_resolution(min(r_list), region.x_step, region.xi_step)
     amb = ambiguity(w, region)
     best = math.inf
     for r in r_list:
-        if r <= 0:
-            raise ValueError("radii must be positive")
         R = osc_l1(amb.field, r)
         if R == 0.0:
             raise GaborError(

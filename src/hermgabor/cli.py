@@ -1,10 +1,14 @@
 """Command-line surface: reproducible runs of every pipeline in the package.
 
 Configuration comes from an optional JSON file (``--config``) whose fields
-are named exactly like the flags; explicit flags always override the file.
-Relative output paths are resolved against the OUTPUT_DIR environment
-variable when it is set. Output files are written atomically (temp file in
-the destination directory, then rename).
+are named exactly like the flags and hold values of the flags' types;
+explicit flags always override the file. Relative output paths are resolved
+against the OUTPUT_DIR environment variable when it is set. Output files are
+written atomically (temp file in the destination directory, then rename).
+
+Each command is prepared, then computed: ``prepare`` builds every library
+input the run uses, so the library's own checks reject a bad request before
+any work, and ``--validate-only`` stops after that step.
 
 Exit codes: 0 success, 2 precondition / usage errors, 3 budget or
 convergence failures.
@@ -21,38 +25,23 @@ import tempfile
 
 import numpy as np
 
-from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
-                     PreconditionError)
+from .errors import BudgetError, ConvergenceError, GaborError, PreconditionError
 from .frameop import (DEFAULT_GALERKIN_DIM, GaborSystemSpec, bounds_to_json,
                       frame_bounds, gl_predicate)
 from .hermite import dilated_hermite
-from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm,
-                      enumeration_box)
-from .certify import certificate, certificate_to_json, certification_window
-from .scan import (DEFAULT_SCAN_GALERKIN_DIM, dilation_covariance_check,
-                   records_to_csv, tightness_scan)
-from .timefreq import Region
+from .lattice import DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm
+from .certify import (certificate, certificate_to_json, certification_window,
+                      check_resolution)
+from .scan import (DEFAULT_SCAN_GALERKIN_DIM, covariance_deviation,
+                   covariance_pair, records_to_csv, scan_ladder, scan_records)
+from .timefreq import REGION_STEP, default_region
 
-COMMANDS = ("hermite", "norm", "bounds", "certify", "scan", "glgrid",
-            "covariance")
-
-# every tunable a run can carry; config files may set any of these and
-# explicit flags win field by field
-CONFIG_FIELDS = ("command", "d", "n", "x", "matrix", "K", "truncation_radius",
-                 "dilation", "region_half", "region_step", "t_list", "det_max",
-                 "steps", "b", "budget", "output", "format", "seed")
-
-
-def _parse_matrix(text):
-    if isinstance(text, str):
-        return LatticeMatrix.parse(text)
-    return LatticeMatrix.from_array(text)
+# what a run raises for a request it cannot serve
+REQUEST_ERRORS = (GaborError, ValueError, OSError)
 
 
 def _parse_floats(text):
-    if isinstance(text, str):
-        return [float(p) for p in text.split(",")]
-    return [float(p) for p in text]
+    return [float(p) for p in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed for harness use (core math is "
                             "deterministic); default 0")
         p.add_argument("--validate-only", action="store_true",
-                       help="list capacity/Nyquist/budget diagnostics "
-                            "without running")
+                       help="build every input the run builds and report "
+                            "its first error, without running")
 
     p = sub.add_parser("hermite", help="evaluate a Hermite function")
     p.add_argument("--n", type=int, default=None)
@@ -127,6 +116,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(parser: argparse.ArgumentParser) -> dict:
+    """dest -> action of every subcommand flag a config file may set."""
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return {a.dest: a for p in sub.choices.values() for a in p._actions
+            if a.dest not in ("help", "config", "validate_only")}
+
+
+_FLAGS = _flags(build_parser())
+CONFIG_FIELDS = ("command",) + tuple(_FLAGS)
+
+
+def _accepts(action: argparse.Action, val) -> bool:
+    """Whether a config value fits its flag: the declared type (str when
+    none; an int passes as a float) and the choices."""
+    kind = action.type or str
+    kinds = (int, float) if kind is float else kind
+    return (isinstance(val, kinds) and not isinstance(val, bool)
+            and (not action.choices or val in action.choices))
+
+
 def merge_config(args: argparse.Namespace) -> dict:
     """File values first, then any flag the user actually set."""
     cfg = {}
@@ -140,6 +149,12 @@ def merge_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise PreconditionError(
                 f"unknown config fields: {sorted(unknown)}")
+        # "command" has no flag: the subcommand given wins
+        invalid = [key for key, val in loaded.items()
+                   if key in _FLAGS and not _accepts(_FLAGS[key], val)]
+        if invalid:
+            raise PreconditionError(
+                f"config fields with invalid values: {sorted(invalid)}")
         cfg.update(loaded)
     for key in CONFIG_FIELDS:
         val = getattr(args, key, None)
@@ -148,64 +163,6 @@ def merge_config(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     cfg.setdefault("seed", 0)
     return cfg
-
-
-def validate(cfg: dict) -> list:
-    """Capacity, Nyquist-guard and budget diagnostics; empty means runnable."""
-    diags = []
-    cmd = cfg.get("command")
-    if cmd not in COMMANDS:
-        diags.append(f"unknown command {cmd!r}")
-        return diags
-    d = cfg.get("d", 0)
-    if not isinstance(d, int) or d < 0:
-        diags.append("d must be a nonnegative integer")
-        d = 0
-    for key in ("truncation_radius", "dilation", "region_half", "region_step",
-                "det_max", "b"):
-        if key in cfg and not (isinstance(cfg[key], (int, float))
-                               and cfg[key] > 0):
-            diags.append(f"{key} must be positive")
-    K = cfg.get("K")
-    if K is not None and (not isinstance(K, int) or K <= d):
-        diags.append("K must be an integer exceeding the largest window index")
-    if "matrix" in cfg:
-        try:
-            M = _parse_matrix(cfg["matrix"])
-        except ValueError as exc:
-            diags.append(f"matrix: {exc}")
-            M = None
-    else:
-        M = None
-    if cmd in ("norm", "bounds", "certify", "covariance") and M is None:
-        diags.append(f"{cmd} requires --matrix")
-    if cmd == "hermite":
-        n = cfg.get("n")
-        if n is None or not isinstance(n, int) or n < 0:
-            diags.append("hermite requires a nonnegative integer --n")
-    if cmd == "scan":
-        ts = cfg.get("t_list")
-        if ts is not None:
-            try:
-                vals = _parse_floats(ts)
-                if any(v <= 0 for v in vals) or \
-                        any(a <= b for a, b in zip(vals, vals[1:])):
-                    diags.append("t_list must be positive and descending")
-            except ValueError:
-                diags.append("t_list must be comma-separated floats")
-    if not diags and (cmd == "bounds" or (cmd in ("scan", "covariance")
-                                          and K is not None)):
-        # the spec decides the grid (Nyquist guard) and the enumeration box
-        try:
-            spec = _spec(cfg, M if M is not None else LatticeMatrix(1, 0, 0, 1))
-            spec.grid()
-            if cmd == "bounds":
-                enumeration_box(spec.matrix, spec.radius, spec.point_budget)
-        except BudgetError as exc:
-            diags.append(f"budget: {exc}")
-        except (CapacityError, ValueError) as exc:
-            diags.append(str(exc))
-    return diags
 
 
 def resolve_output(path: str) -> str:
@@ -239,111 +196,140 @@ def _emit(cfg: dict, text: str, summary: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# commands: each prepare step builds the run's inputs and returns its compute
+# step
 
 
-def _run_hermite(cfg: dict) -> None:
-    n = int(cfg["n"])
+def _required(cfg: dict, key: str):
+    if key not in cfg:
+        raise PreconditionError(
+            f"{cfg['command']} requires --{key.replace('_', '-')}")
+    return cfg[key]
+
+
+def _matrix(cfg: dict) -> LatticeMatrix:
+    return LatticeMatrix.parse(_required(cfg, "matrix"))
+
+
+def _prepare_hermite(cfg: dict):
+    # evaluating is as cheap as any check of n and the dilation
+    n = _required(cfg, "n")
     xs = np.array(_parse_floats(cfg.get("x", "0")))
     a = float(cfg.get("dilation", 1.0))
-    vals = dilated_hermite(n, a, xs)
-    vals = np.atleast_1d(vals)
+    vals = np.atleast_1d(dilated_hermite(n, a, xs))
     if cfg.get("format") == "csv" or (cfg.get("output") and
                                       cfg.get("format") != "json"):
         lines = ["x,h"] + [f"{x:.17g},{v:.17g}" for x, v in zip(xs, vals)]
-        _emit(cfg, "\n".join(lines) + "\n", f"h_{n} at {xs.size} points")
+        text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({"n": n, "dilation": a, "x": list(map(float, xs)),
                            "h": [float(v) for v in vals]}, indent=2)
-        _emit(cfg, text, f"h_{n} at {xs.size} points")
+    return lambda: _emit(cfg, text, f"h_{n} at {xs.size} points")
 
 
-def _run_norm(cfg: dict) -> None:
-    M = _parse_matrix(cfg["matrix"])
-    print(f"{box_norm(M):.16g}")
+def _prepare_norm(cfg: dict):
+    M = _matrix(cfg)
+    return lambda: print(f"{box_norm(M):.16g}")
 
 
-def _spec(cfg: dict, M: LatticeMatrix) -> GaborSystemSpec:
-    return GaborSystemSpec(
-        window_degree=int(cfg.get("d", 0)), matrix=M,
+def _prepare_bounds(cfg: dict):
+    spec = GaborSystemSpec(
+        window_degree=cfg.get("d", 0), matrix=_matrix(cfg),
         truncation_radius=cfg.get("truncation_radius"),
-        galerkin_dim=int(cfg.get("K", DEFAULT_GALERKIN_DIM)),
-        window_dilation=float(cfg.get("dilation", 1.0)),
-        point_budget=int(cfg.get("budget", DEFAULT_POINT_BUDGET)))
+        galerkin_dim=cfg.get("K", DEFAULT_GALERKIN_DIM),
+        window_dilation=cfg.get("dilation", 1.0),
+        point_budget=cfg.get("budget", DEFAULT_POINT_BUDGET))
+
+    def run():
+        fb = frame_bounds(spec)
+        ratio = fb.B_est / fb.A_est if fb.A_est > 0 else math.inf
+        _emit(cfg, bounds_to_json(spec, fb),
+              f"A_est={fb.A_est:.6g} B_est={fb.B_est:.6g} ratio={ratio:.6g}")
+    return run
 
 
-def _run_bounds(cfg: dict) -> None:
-    spec = _spec(cfg, _parse_matrix(cfg["matrix"]))
-    fb = frame_bounds(spec)
-    text = bounds_to_json(spec, fb)
-    ratio = fb.B_est / fb.A_est if fb.A_est > 0 else math.inf
-    _emit(cfg, text,
-          f"A_est={fb.A_est:.6g} B_est={fb.B_est:.6g} ratio={ratio:.6g}")
-
-
-def _run_certify(cfg: dict) -> None:
-    M = _parse_matrix(cfg["matrix"])
-    d = int(cfg.get("d", 0))
-    region = None
-    if cfg.get("region_half") or cfg.get("region_step"):
-        half = float(cfg.get("region_half", math.sqrt(2 * d + 1) + 8.0))
-        step = float(cfg.get("region_step", 1.0 / 16.0))
-        n = int(math.ceil(half / step))
-        half = n * step
-        region = Region(x_half=half, xi_half=half, x_step=step, xi_step=step)
+def _prepare_certify(cfg: dict):
+    M = _matrix(cfg)
+    d = cfg.get("d", 0)
+    region = default_region(d, cfg.get("region_step", REGION_STEP),
+                            cfg.get("region_half"))
     w = certification_window(d, region)
-    cert = certificate(w, M, region)
-    text = certificate_to_json(cert)
-    word = "valid" if cert.valid else "invalid"
-    _emit(cfg, text, f"certificate {word}: R={cert.ratio:.6g} "
-                     f"A_cert={cert.A_cert:.6g} B_cert={cert.B_cert:.6g}")
+    check_resolution(box_norm(M), region.x_step, region.xi_step)
+
+    def run():
+        cert = certificate(w, M, region)
+        word = "valid" if cert.valid else "invalid"
+        _emit(cfg, certificate_to_json(cert),
+              f"certificate {word}: R={cert.ratio:.6g} "
+              f"A_cert={cert.A_cert:.6g} B_cert={cert.B_cert:.6g}")
+    return run
 
 
-def _run_scan(cfg: dict) -> None:
-    M0 = _parse_matrix(cfg.get("matrix", "1,0,0,1"))
+def _prepare_scan(cfg: dict):
+    M0 = LatticeMatrix.parse(cfg.get("matrix", "1,0,0,1"))
     ts = _parse_floats(cfg["t_list"]) if cfg.get("t_list") else None
-    records = tightness_scan(M0, int(cfg.get("d", 0)), ts,
-                             galerkin_dim=int(cfg.get("K",
-                                                      DEFAULT_SCAN_GALERKIN_DIM)))
-    text = records_to_csv(records)
-    _emit(cfg, text, f"scan: {len(records)} rows")
+    ladder = scan_ladder(M0, cfg.get("d", 0), ts,
+                         galerkin_dim=cfg.get("K", DEFAULT_SCAN_GALERKIN_DIM))
+
+    def run():
+        records = scan_records(ladder)
+        _emit(cfg, records_to_csv(records), f"scan: {len(records)} rows")
+    return run
 
 
-def _run_glgrid(cfg: dict) -> None:
-    d = int(cfg.get("d", 0))
-    det_max = float(cfg.get("det_max", 1.2))
-    steps = int(cfg.get("steps", 24))
-    if steps < 1:
-        raise PreconditionError("steps must be at least 1")
-    lines = ["det,threshold,is_frame_predicate"]
+def _prepare_glgrid(cfg: dict):
+    # the whole ladder is cheap: gl_predicate checks d while building it
+    d = cfg.get("d", 0)
+    det_max = cfg.get("det_max", 1.2)
+    steps = cfg.get("steps", 24)
+    if steps < 1 or not det_max > 0:
+        raise PreconditionError("glgrid needs --steps >= 1 and --det-max > 0")
+    dets = [det_max * k / steps for k in range(1, steps + 1)]
+    preds = [gl_predicate(LatticeMatrix(math.sqrt(det), 0.0, 0.0,
+                                        math.sqrt(det)), d) for det in dets]
     thr = 1.0 / (d + 1)
-    for k in range(1, steps + 1):
-        det = det_max * k / steps
-        M = LatticeMatrix(math.sqrt(det), 0.0, 0.0, math.sqrt(det))
-        lines.append(f"{det:.17g},{thr:.17g},"
-                     f"{str(gl_predicate(M, d)).lower()}")
-    _emit(cfg, "\n".join(lines) + "\n",
-          f"glgrid: {steps} rows, threshold {thr:.6g}")
+    lines = ["det,threshold,is_frame_predicate"] + [
+        f"{det:.17g},{thr:.17g},{str(pred).lower()}"
+        for det, pred in zip(dets, preds)]
+    return lambda: _emit(cfg, "\n".join(lines) + "\n",
+                         f"glgrid: {steps} rows, threshold {thr:.6g}")
 
 
-def _run_covariance(cfg: dict) -> None:
-    M = _parse_matrix(cfg["matrix"])
-    dev = dilation_covariance_check(
-        int(cfg.get("d", 0)), M, float(cfg.get("b", 2.0)),
-        galerkin_dim=int(cfg.get("K", DEFAULT_SCAN_GALERKIN_DIM)))
-    text = json.dumps({"max_relative_deviation": dev}, indent=2)
-    _emit(cfg, text, f"covariance deviation {dev:.3g}")
+def _prepare_covariance(cfg: dict):
+    pair = covariance_pair(cfg.get("d", 0), _matrix(cfg), cfg.get("b", 2.0),
+                           galerkin_dim=cfg.get("K", DEFAULT_SCAN_GALERKIN_DIM))
+
+    def run():
+        dev = covariance_deviation(*pair)
+        _emit(cfg, json.dumps({"max_relative_deviation": dev}, indent=2),
+              f"covariance deviation {dev:.3g}")
+    return run
 
 
-_RUNNERS = {
-    "hermite": _run_hermite,
-    "norm": _run_norm,
-    "bounds": _run_bounds,
-    "certify": _run_certify,
-    "scan": _run_scan,
-    "glgrid": _run_glgrid,
-    "covariance": _run_covariance,
+_PREPARE = {
+    "hermite": _prepare_hermite,
+    "norm": _prepare_norm,
+    "bounds": _prepare_bounds,
+    "certify": _prepare_certify,
+    "scan": _prepare_scan,
+    "glgrid": _prepare_glgrid,
+    "covariance": _prepare_covariance,
 }
+
+
+def prepare(cfg: dict):
+    """Build every library input the command's run uses; returns the
+    compute step. Raises what the run would raise for a bad request."""
+    return _PREPARE[cfg["command"]](cfg)
+
+
+def validate(cfg: dict) -> list:
+    """[message of the first error preparing the run], or [] when runnable."""
+    try:
+        prepare(cfg)
+    except REQUEST_ERRORS as exc:
+        return [str(exc)]
+    return []
 
 
 def main(argv=None) -> int:
@@ -354,28 +340,16 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = merge_config(args)
-        diags = validate(cfg)
-        if getattr(args, "validate_only", False):
-            if diags:
-                for d in diags:
-                    print(d)
-                return 2
-            print("ok")
-            return 0
-        if diags:
-            for d in diags:
-                print(f"error: {d}", file=sys.stderr)
-            return 3 if all(d.startswith("budget") for d in diags) else 2
-        np.random.seed(int(cfg.get("seed", 0)))
-        _RUNNERS[cfg["command"]](cfg)
+        if args.validate_only:
+            diags = validate(cfg)
+            print(diags[0] if diags else "ok")
+            return 2 if diags else 0
+        np.random.seed(cfg["seed"])
+        prepare(cfg)()
         return 0
-    except (BudgetError, ConvergenceError) as exc:
+    except REQUEST_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PreconditionError, GaborError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (BudgetError, ConvergenceError)) else 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import scipy.linalg
 from .errors import ConvergenceError
 from .grid import GridSpec
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
-                      enumerate_points)
+                      enumerate_points, enumeration_box)
 from .hermite import dilated_hermite_all
 
 DEFAULT_GALERKIN_DIM = 64
@@ -51,7 +51,8 @@ class GaborSystemSpec:
     the component list (e.g. (1,) for the scalar h_1 system, (0, 0) for the
     degenerate duplicated-Gaussian window). ``window_dilation`` applies D_a
     to window and test basis alike, keeping the Galerkin compression
-    unitarily covariant.
+    unitarily covariant. Construction builds the assembly's grid and
+    enumeration box, raising CapacityError or BudgetError there.
     """
 
     window_degree: int
@@ -72,6 +73,8 @@ class GaborSystemSpec:
         if self.truncation_radius is not None and \
                 self.truncation_radius < box_norm(self.matrix):
             raise ValueError("truncation_radius below box_norm(matrix)")
+        self.grid()
+        enumeration_box(self.matrix, self.radius, self.point_budget)
 
     @property
     def indices(self) -> tuple:

@@ -61,22 +61,6 @@ def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
     return s ** (-0.25) * eval_hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
 
 
-@dataclass(frozen=True)
-class HermiteSpec:
-    """Declared capacity: largest index and dilation a grid must carry."""
-
-    max_index: int
-    dilation: float
-    grid: GridSpec
-
-    def __post_init__(self):
-        if self.max_index < 0:
-            raise ValueError("max_index must be nonnegative")
-        if self.dilation <= 0:
-            raise ValueError("dilation must be positive")
-        self.grid.check_support(self.max_index, self.dilation)
-
-
 @dataclass(frozen=True, eq=False)
 class VectorWindow:
     """Sampled vector window; component i is h_{indices[i], dilation} on ``grid``."""

@@ -64,10 +64,11 @@ def _c_emp(A_est: float, M: LatticeMatrix) -> float:
     return box_norm(M) / (1.0 - math.sqrt(prod))
 
 
-def tightness_scan(M0: LatticeMatrix, d: int, t_list=None,
-                   galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM,
-                   component_indices: Optional[tuple] = None):
-    """Frame bounds of (h^d, t*M0) for each t; t_list must be descending."""
+def scan_ladder(M0: LatticeMatrix, d: int, t_list=None,
+                galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM,
+                component_indices: Optional[tuple] = None):
+    """(t, spec of (h^d, t*M0)) for each t, every spec built before any is
+    run; t_list must be descending."""
     if t_list is None:
         t_list = default_t_ladder()
     t_list = [float(t) for t in t_list]
@@ -75,19 +76,32 @@ def tightness_scan(M0: LatticeMatrix, d: int, t_list=None,
         raise ValueError("scan parameters t must be positive")
     if any(a <= b for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be sorted descending")
+    return [(t, GaborSystemSpec(window_degree=d, matrix=M0.scaled(t),
+                                galerkin_dim=galerkin_dim,
+                                component_indices=component_indices))
+            for t in t_list]
+
+
+def scan_records(ladder):
+    """One ScanRecord per rung of a ``scan_ladder``."""
     records = []
-    for t in t_list:
-        M = M0.scaled(t)
-        spec = GaborSystemSpec(window_degree=d, matrix=M,
-                               galerkin_dim=galerkin_dim,
-                               component_indices=component_indices)
+    for t, spec in ladder:
+        M = spec.matrix
         fb: FrameBounds = frame_bounds(spec)
         tightness = fb.B_est / fb.A_est if fb.A_est > 0 else math.inf
         records.append(ScanRecord(
-            d=d, t=t, box_norm=box_norm(M), det=M.determinant,
+            d=spec.window_degree, t=t, box_norm=box_norm(M), det=M.determinant,
             A_est=fb.A_est, B_est=fb.B_est, tightness=tightness,
             C_emp=_c_emp(fb.A_est, M), converged=fb.converged))
     return records
+
+
+def tightness_scan(M0: LatticeMatrix, d: int, t_list=None,
+                   galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM,
+                   component_indices: Optional[tuple] = None):
+    """Frame bounds of (h^d, t*M0) for each t; t_list must be descending."""
+    return scan_records(scan_ladder(M0, d, t_list, galerkin_dim,
+                                    component_indices))
 
 
 def estimate_cstar(records) -> CEstimate:
@@ -137,24 +151,33 @@ def sqrt_law_probe(d_list, M0: LatticeMatrix = None, t_list=None,
     return rows
 
 
-def dilation_covariance_check(d: int, M: LatticeMatrix, b: float,
-                              galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM) -> float:
-    """Max relative deviation between the bounds of (h^d, M) and of the
-    unitarily transported system (D_b h^d, diag(b, 1/b) M)."""
+def covariance_pair(d: int, M: LatticeMatrix, b: float,
+                    galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM):
+    """Specs of (h^d, M) and of the unitarily transported system
+    (D_b h^d, diag(b, 1/b) M)."""
     if b <= 0:
         raise ValueError("dilation b must be positive")
-    spec1 = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=galerkin_dim)
-    fb1 = frame_bounds(spec1, check_convergence=False)
-    if b == 1.0:
+    return (GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=galerkin_dim),
+            GaborSystemSpec(window_degree=d, matrix=M.left_diag(b, 1.0 / b),
+                            galerkin_dim=galerkin_dim, window_dilation=b * b))
+
+
+def covariance_deviation(spec1: GaborSystemSpec, spec2: GaborSystemSpec) -> float:
+    """Max relative deviation between the bounds of a ``covariance_pair``."""
+    if spec1 == spec2:
         return 0.0
-    M2 = M.left_diag(b, 1.0 / b)
-    spec2 = GaborSystemSpec(window_degree=d, matrix=M2,
-                            galerkin_dim=galerkin_dim, window_dilation=b * b)
+    fb1 = frame_bounds(spec1, check_convergence=False)
     fb2 = frame_bounds(spec2, check_convergence=False)
     ref_a = max(fb1.A_est, fb2.A_est, 1e-300)
     ref_b = max(fb1.B_est, fb2.B_est, 1e-300)
     return max(abs(fb1.A_est - fb2.A_est) / ref_a,
                abs(fb1.B_est - fb2.B_est) / ref_b)
+
+
+def dilation_covariance_check(d: int, M: LatticeMatrix, b: float,
+                              galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM) -> float:
+    """``covariance_deviation`` of the ``covariance_pair`` of (h^d, M) and b."""
+    return covariance_deviation(*covariance_pair(d, M, b, galerkin_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .grid import SUPPORT_PAD, GridSpec
 from .hermite import VectorWindow, dilated_hermite_all
 
 TWO_PI = 2.0 * math.pi
+REGION_STEP = 1.0 / 16.0
 
 
 class SupportOverflowWarning(UserWarning):
@@ -185,11 +186,14 @@ class Region:
         return self.xi_step * np.arange(-n, n + 1)
 
 
-def default_region(d: int, step: float = 1.0 / 16.0) -> Region:
-    """Default STFT region [-L, L]^2 with L = sqrt(2d+1) + 8."""
-    L = math.sqrt(2 * d + 1) + 8.0
-    n = int(math.ceil(L / step))
-    L = n * step
+def default_region(d: int, step: float = REGION_STEP, half: float = None) -> Region:
+    """STFT region [-L, L]^2, L = ``half`` (default sqrt(2d+1) + 8) rounded
+    up to a multiple of ``step``."""
+    if d < 0 or step <= 0:
+        raise ValueError("default_region needs d >= 0 and step > 0")
+    if half is None:
+        half = math.sqrt(2 * d + 1) + 8.0
+    L = math.ceil(half / step) * step
     return Region(x_half=L, xi_half=L, x_step=step, xi_step=step)
 
 

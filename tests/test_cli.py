@@ -122,7 +122,7 @@ def test_validate_only(capsys):
     assert code == 0 and out.strip() == "ok"
     code, out, _ = run(capsys, "bounds", "--d", "0", "--matrix",
                        "0.5,0,0,0.5", "--K", "-4", "--validate-only")
-    assert code == 2 and "K must be" in out
+    assert code == 2 and "galerkin_dim must exceed" in out
 
 
 def test_validate_nyquist_diagnostic(capsys):
@@ -140,9 +140,58 @@ def test_validate_budget_diagnostic(capsys):
     argv = ("bounds", "--d", "0", "--matrix", "0.01,0,0,0.01", "--K", "16",
             "--dilation", "4", "--budget", "15000000")
     code, out, _ = run(capsys, *argv, "--validate-only")
-    assert code == 2 and out.startswith("budget")
+    assert code == 2 and "exceeds point budget" in out
     code, _, err = run(capsys, *argv)
     assert code == 3 and "budget" in err
+
+
+REJECTED = [
+    # --validate-only used to print "ok" for these, then the run failed
+    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.2 --K 32", 2, "Nyquist"),
+    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-half 20", 2, "Nyquist"),
+    ("certify --d 0 --matrix 0.01,0,0,0.01", 2, "grid resolution"),
+    ("scan --d 40 --matrix 1,0,0,1 --t-list 0.5", 2, "galerkin_dim"),
+    ("covariance --d 40 --matrix 0.4,0,0,0.4 --b 2", 2, "galerkin_dim"),
+    ("glgrid --d 0 --steps 0", 2, "--steps >= 1"),
+    # rejected before, and still
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --K -4", 2, "galerkin_dim"),
+    ("glgrid --d -1", 2, "nonnegative"),
+    ("hermite --n -1", 2, "nonnegative"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation 0", 2, "dilation"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation -1", 2, "dilation"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --config {cfg}", 2, "invalid values"),
+    ("scan --d 0 --t-list 0.4,0.5", 2, "descending"),
+    ("bounds --d 0", 2, "requires --matrix"),
+    ("bounds --d 0 --matrix 0.01,0,0,0.01 --K 16 --budget 1000", 3,
+     "exceeds point budget"),
+]
+
+
+@pytest.mark.parametrize("command,run_code,message", REJECTED)
+def test_validate_only_agrees_with_run(tmp_path, capsys, command, run_code,
+                                       message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 1.5}))
+    argv = command.format(cfg=cfg).split()
+    code, out, err = run(capsys, *argv, "--validate-only")
+    said = (out + err).strip().removeprefix("error: ")
+    assert code == 2 and message in said
+    code, out, err = run(capsys, *argv)
+    assert code == run_code and not out
+    assert err == f"error: {said}\n"
+
+
+def test_config_value_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for fields in ({"K": "8"}, {"b": True}, {"format": "xml"},
+                   {"matrix": [[1, 0], [0, 1]]}):
+        cfg.write_text(json.dumps(fields))
+        code, _, err = run(capsys, "norm", "--matrix", "1,0,0,1",
+                           "--config", str(cfg))
+        assert code == 2 and "invalid values" in err
+    cfg.write_text(json.dumps({"matrix": "1,0,0,1", "b": 2, "t_list": "0.5"}))
+    code, out, _ = run(capsys, "norm", "--config", str(cfg))
+    assert code == 0 and out.strip() == "0.7071067811865476"
 
 
 def test_validate_requires_matrix():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hermgabor import (FrameBounds, GaborSystemSpec, LatticeMatrix,
+from hermgabor import (BudgetError, CapacityError, FrameBounds,
+                       GaborSystemSpec, LatticeMatrix,
                        assemble_frame_matrix, bounds_from_json, bounds_to_json,
                        component_bound_aggregate, frame_bounds, gl_predicate,
                        is_frame, theorem1_predicted_bounds)
@@ -119,6 +120,10 @@ def test_spec_validation():
         make_spec(truncation_radius=0.01)
     with pytest.raises(ValueError):
         make_spec(window_dilation=-1.0)
+    with pytest.raises(CapacityError, match="Nyquist"):
+        make_spec(K=64, window_dilation=0.1)
+    with pytest.raises(BudgetError):
+        make_spec(t=0.001, point_budget=1000)
     with pytest.raises(ValueError):
         FrameBounds(A_est=2.0, B_est=1.0, galerkin_dim=8, converged=True,
                     tail_bound=0.0)
