@@ -231,13 +231,16 @@ def _tv_estimate(F: SampledField) -> float:
 
 def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
-    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||."""
+    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||;
+    PreconditionError when the region cuts the ambiguity function off (its
+    boundary values exceed BOUNDARY_DECAY_TOL of its maximum)."""
     _check_orthonormal(w)
     if region is None:
         region = default_region(w.degree)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
     amb = ambiguity(w, region)
+    _check_boundary_decay(amb.field, "ambiguity function")
     R = osc_l1(amb.field, r)
     det = covolume(M)
     valid = R < 1.0
@@ -251,7 +254,8 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
 def c_lower_estimate(w: VectorWindow, r_list, region: Region = None) -> float:
     """min over probed radii of r / R(r): the largest constant C with
     R(r) <= r/C on the probed set (a lower-bound estimator, up to
-    discretization error)."""
+    discretization error). The region must hold the ambiguity function, as
+    for ``certificate``."""
     r_list = list(r_list)
     if not r_list:
         raise ValueError("r_list must be nonempty")
@@ -262,6 +266,7 @@ def c_lower_estimate(w: VectorWindow, r_list, region: Region = None) -> float:
         region = default_region(w.degree)
     check_resolution(min(r_list), region.x_step, region.xi_step)
     amb = ambiguity(w, region)
+    _check_boundary_decay(amb.field, "ambiguity function")
     best = math.inf
     for r in r_list:
         R = osc_l1(amb.field, r)

@@ -4,6 +4,10 @@ The frame operator of G(w, M(Z^2)) is compressed to the orthonormal test
 system { h_{m,a} placed in component i : m < K, i = 0..c-1 }; its extremal
 eigenvalues bracket the optimal frame bounds from inside (A_est >= A_true,
 B_est <= B_true), with the bracket closing as K grows.
+
+The matrix is summed over M(Z^2) or, by Janssen's representation, over its
+adjoint lattice J^{-1} M^{-T}(Z^2) of covolume 1/|det M|, whichever side
+``_adjoint_side`` finds cheaper.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ REFUTATION_GALERKIN_DIM = 128
 TRUNCATION_MARGIN = 10.0
 CONVERGENCE_REL_TOL = 0.05
 TWO_PI = 2.0 * math.pi
+# window rows projected per chunk on the adjoint side (K per dual point)
+ADJOINT_CHUNK_ROWS = 512
 
 
 def _joint_support(galerkin_dim: int, max_window_index: int) -> float:
@@ -122,6 +128,12 @@ class FrameBounds:
 
     A_est overestimates the true A and B_est underestimates the true B
     (restriction to a subspace shrinks the spectrum bracket from inside).
+    ``tail_bound`` bounds the spectral norm of the contribution of the
+    outermost unit shell r - 1 < |point| <= r of the summed lattice: on the
+    direct side the sum of |A_gamma|^2 over its points (the trace of that
+    PSD part), on the adjoint side the sum of ||W_mu||_F ||E_mu||_F / |det M|,
+    W_mu the c x c window block of E_mu. It is 0 when the shell holds no
+    point, as the sparse adjoint lattice of a dense one often does.
     """
 
     A_est: float
@@ -135,49 +147,89 @@ class FrameBounds:
             raise ValueError("frame bounds must satisfy 0 <= A_est <= B_est")
 
 
+def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
+             H: np.ndarray) -> np.ndarray:
+    """P[p, r, m] = <pi(mu_p) h_{rows[r],a}, h_{m,a}> against the test basis
+    H, with pi(mu) f(x) = e^{2 pi i mu2 (x - mu1)} f(x - mu1); shape
+    (n, len(rows), K)."""
+    xs = x[None, :] - mu[:, 0, None]                        # (n, N)
+    table = dilated_hermite_all(max(rows), a, xs)           # (max+1, n, N)
+    phase = np.exp(1j * TWO_PI * mu[:, 1, None] * xs)       # (n, N)
+    V = table[list(rows)].transpose(1, 0, 2) * phase[:, None, :]
+    n, R = V.shape[:2]
+    return (step * (V.reshape(n * R, x.size) @ H.T)).reshape(n, R, H.shape[0])
+
+
+def _adjoint_side(spec: GaborSystemSpec) -> bool:
+    """True when the frame matrix is summed over the adjoint lattice.
+
+    Both sides keep the same box, so the adjoint side has |det M|^2 times as
+    many points; per point it projects K window rows instead of c."""
+    return covolume(spec.matrix) ** 2 * spec.galerkin_dim < len(spec.indices)
+
+
 def _assemble(spec: GaborSystemSpec):
-    """Frame matrix plus a trace bound on the outermost-shell contribution."""
+    """Frame matrix plus a bound on the spectral norm of the outermost-shell
+    contribution.
+
+    Direct side: S = sum_gamma A_gamma^H A_gamma with A_gamma[i, m] =
+    <h_m, pi(gamma) w_i>. Adjoint side (Janssen's representation over
+    Lambda° = J^{-1} M^{-T} Z^2): S[(i,m),(j,m')] = (1/|det M|) sum_mu
+    conj(E_mu[idx_j, idx_i]) E_mu[m', m], E_mu[a, b] = <pi(mu) h_a, h_b>.
+    """
     grid = spec.grid()
     x = grid.points
-    step = grid.step
     a = spec.window_dilation
-    idxs = spec.indices
+    rows = list(spec.indices)
     K = spec.galerkin_dim
-    c = len(idxs)
+    c = len(rows)
 
     basis = dilated_hermite_all(max(K - 1, spec.max_window_index), a, x)
     H = basis[:K]                       # (K, N) orthonormal test functions
     r_cut = spec.radius
-    pts = enumerate_points(spec.matrix, r_cut, budget=spec.point_budget)
+    adjoint = _adjoint_side(spec)
+    generator = spec.matrix.adjoint() if adjoint else spec.matrix
+    pts = enumerate_points(generator, r_cut, budget=spec.point_budget)
     g = pts.points
     keep = (np.abs(g[:, 0]) <= spec.time_cutoff()) & \
            (np.abs(g[:, 1]) <= spec.freq_cutoff())
     g = g[keep]
-    norms = np.hypot(g[:, 0], g[:, 1])
-    in_shell = norms > r_cut - 1.0
+    in_shell = np.hypot(g[:, 0], g[:, 1]) > r_cut - 1.0
 
     dim = c * K
-    S = np.zeros((dim, dim), dtype=complex)
-    tail_sq = 0.0
-    chunk = 128
-    max_idx = spec.max_window_index
+    tail = 0.0
+    if adjoint:
+        S4 = np.zeros((c * c, K * K), dtype=complex)
+        chunk = max(1, ADJOINT_CHUNK_ROWS // K)
+    else:
+        S = np.zeros((dim, dim), dtype=complex)
+        chunk = 128
     for start in range(0, g.shape[0], chunk):
-        g1 = g[start:start + chunk, 0]
-        g2 = g[start:start + chunk, 1]
-        xs = x[None, :] - g1[:, None]                       # (n, N)
-        table = dilated_hermite_all(max_idx, a, xs)         # (max_idx+1, n, N)
-        P = table[list(idxs)]                               # (c, n, N)
-        phase = np.exp(-1j * TWO_PI * g2[:, None] * xs)     # (n, N)
-        V = P.transpose(1, 0, 2) * phase[:, None, :]        # (n, c, N)
-        n = V.shape[0]
-        A = step * (V.reshape(n * c, x.size) @ H.T)         # (n*c, K)
-        A = A.reshape(n, dim)
-        S += A.conj().T @ A
+        mu = g[start:start + chunk]
         shell = in_shell[start:start + chunk]
-        if shell.any():
-            tail_sq += float(np.sum(np.abs(A[shell]) ** 2))
+        if adjoint:
+            E = _project(mu, range(K), a, x, grid.step, H)      # (n, K, K)
+            n = E.shape[0]
+            # W[p, i, j] = conj(E[p, idx_j, idx_i]); F[p, m, m'] = E[p, m', m]
+            W = E[:, rows][:, :, rows].conj().transpose(0, 2, 1)
+            F = E.transpose(0, 2, 1)
+            S4 += W.reshape(n, c * c).T @ F.reshape(n, K * K)
+            if shell.any():
+                tail += float(np.sum(np.linalg.norm(W[shell], axis=(1, 2))
+                                     * np.linalg.norm(E[shell], axis=(1, 2))))
+        else:
+            # window rows at (gamma1, -gamma2): A[p, i, m] = <h_m, pi(gamma_p) w_i>
+            A = _project(mu * [1.0, -1.0], rows, a, x, grid.step, H)
+            A = A.reshape(A.shape[0], dim)
+            S += A.conj().T @ A
+            if shell.any():
+                tail += float(np.sum(np.abs(A[shell]) ** 2))
+    if adjoint:
+        det = covolume(spec.matrix)
+        S = S4.reshape(c, c, K, K).transpose(0, 2, 1, 3).reshape(dim, dim) / det
+        tail /= det
     S = 0.5 * (S + S.conj().T)
-    return S, tail_sq
+    return S, tail
 
 
 def assemble_frame_matrix(spec: GaborSystemSpec) -> np.ndarray:

@@ -57,6 +57,14 @@ class LatticeMatrix:
         """diag(b1, b2) @ M."""
         return LatticeMatrix(b1 * self.m11, b1 * self.m12, b2 * self.m21, b2 * self.m22)
 
+    def adjoint(self) -> "LatticeMatrix":
+        """J^{-1} M^{-T}, J^{-1} = [[0, -1], [1, 0]]: the generator of the
+        adjoint lattice, the points mu with gamma1*mu2 - gamma2*mu1 in Z for
+        every gamma in M(Z^2); its covolume is 1/|det M|."""
+        det = self.determinant
+        return LatticeMatrix(self.m12 / det, -self.m11 / det,
+                             self.m22 / det, -self.m21 / det)
+
 
 def box_norm(M: LatticeMatrix) -> float:
     """sup { ||M z||_2 : ||z||_inf <= 1/2 }.

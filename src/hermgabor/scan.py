@@ -16,9 +16,10 @@ from .errors import PreconditionError
 from .frameop import FrameBounds, GaborSystemSpec, frame_bounds
 from .lattice import LatticeMatrix, box_norm, covolume
 
-# scans hit many lattices with small covolume; a leaner test space keeps
-# the full ladder tractable while the inner/outer bracket stays far tighter
-# than the quantities read off the records
+# dense rungs are summed over the sparse adjoint lattice, so a rung's cost
+# grows with the test dimension rather than with 1/|det M|; a leaner test
+# space keeps the ladder cheap while the inner/outer bracket stays far
+# tighter than the quantities read off the records
 DEFAULT_SCAN_GALERKIN_DIM = 32
 
 

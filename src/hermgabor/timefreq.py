@@ -23,6 +23,8 @@ from .hermite import VectorWindow, dilated_hermite_all
 
 TWO_PI = 2.0 * math.pi
 REGION_STEP = 1.0 / 16.0
+# first window degree whose default region is widened in time
+WIDE_REGION_DEGREE = 6
 
 
 class SupportOverflowWarning(UserWarning):
@@ -187,14 +189,23 @@ class Region:
 
 
 def default_region(d: int, step: float = REGION_STEP, half: float = None) -> Region:
-    """STFT region [-L, L]^2, L = ``half`` (default sqrt(2d+1) + 8) rounded
-    up to a multiple of ``step``."""
+    """STFT region [-L_x, L_x] x [-L, L], L = ``half`` (default sqrt(2d+1) + 8)
+    and L_x = L, both rounded up to a multiple of ``step``.
+
+    With the default half and d >= WIDE_REGION_DEGREE, L_x widens to
+    2 sqrt(2d+1) + 5: the ambiguity function of (h_0..h_d) decays 2*pi times
+    more slowly in x than in xi, and from d = 6 on it still exceeds 1e-8 of
+    its maximum at |x| = sqrt(2d+1) + 8 (below 1e-9 at the widened edge)."""
     if d < 0 or step <= 0:
         raise ValueError("default_region needs d >= 0 and step > 0")
+    root = math.sqrt(2 * d + 1)
+    x_half = half
     if half is None:
-        half = math.sqrt(2 * d + 1) + 8.0
+        half = root + 8.0
+        x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else half
     L = math.ceil(half / step) * step
-    return Region(x_half=L, xi_half=L, x_step=step, xi_step=step)
+    L_x = math.ceil(x_half / step) * step
+    return Region(x_half=L_x, xi_half=L, x_step=step, xi_step=step)
 
 
 @dataclass(frozen=True, eq=False)

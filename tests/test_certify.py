@@ -7,8 +7,9 @@ from hermgabor import (GaborError, GaborSystemSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, ambiguity, box_norm, c_lower_estimate,
                        certificate, certificate_from_json, certificate_to_json,
-                       certification_window, frame_bounds, osc_l1, oscillation,
-                       twisted_convolve)
+                       certification_window, default_region, frame_bounds,
+                       osc_l1, oscillation, twisted_convolve)
+from hermgabor.certify import BOUNDARY_DECAY_TOL
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
 
@@ -193,3 +194,26 @@ def test_ambiguity_grid_too_small_for_region():
     w = certification_window(0, tiny)  # grid sized for the tiny region only
     with pytest.raises(GaborError):
         ambiguity(w)  # default region overruns the grid
+
+
+def test_certificate_rejects_region_cutting_off_the_ambiguity():
+    # a half-width of 0.2 holds only the peak of the Gaussian's ambiguity
+    # function; its truncated field would give R = 0.122 (valid)
+    region = default_region(0, half=0.2)
+    w = certification_window(0, region)
+    with pytest.raises(PreconditionError, match="region boundary"):
+        certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
+    with pytest.raises(PreconditionError, match="region boundary"):
+        c_lower_estimate(w, [0.1, 0.2], region)
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_default_region_holds_the_ambiguity(d):
+    region = default_region(d)
+    L = math.ceil((math.sqrt(2 * d + 1) + 8.0) * 16) / 16
+    assert region.xi_half == L
+    # degrees 0-5 keep the square region of sqrt(2d+1) + 8
+    assert (region.x_half == L) == (d <= 5)
+    F = ambiguity(certification_window(d), region).field.values
+    edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
+    assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()

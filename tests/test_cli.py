@@ -145,6 +145,13 @@ def test_validate_budget_diagnostic(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_certify_rejects_truncated_region(capsys):
+    argv = ("certify", "--d", "0", "--matrix", "0.5,0,0,0.5",
+            "--region-half", "0.2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "region boundary" in err
+
+
 REJECTED = [
     # --validate-only used to print "ok" for these, then the run failed
     ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.2 --K 32", 2, "Nyquist"),

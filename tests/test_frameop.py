@@ -11,6 +11,8 @@ from hermgabor import (BudgetError, CapacityError, FrameBounds,
                        is_frame, theorem1_predicted_bounds)
 from hermgabor import frameop
 
+from _oracles import direct_frame_matrix
+
 
 def make_spec(d=0, t=0.5, K=16, **kw):
     return GaborSystemSpec(window_degree=d,
@@ -46,8 +48,13 @@ def test_dense_gaussian_near_tight():
 
 
 def test_tail_bound_small():
-    fb = frame_bounds(make_spec(K=12), check_convergence=False)
-    assert fb.tail_bound < 1e-20
+    # a direct-side and an adjoint-side spec, both with points in the
+    # outermost shell, so the bound is positive
+    for t, adjoint in ((1.0, False), (0.5, True)):
+        spec = make_spec(t=t, K=12)
+        assert frameop._adjoint_side(spec) == adjoint
+        fb = frame_bounds(spec, check_convergence=False)
+        assert 0.0 < fb.tail_bound < 1e-20
 
 
 def test_convergence_flag():
@@ -111,6 +118,64 @@ def test_one_assembly_per_test_dimension(monkeypatch):
                                  component_indices=(0, 0), galerkin_dim=16)
     assert is_frame(duplicated) == "not_frame"
     assert len(calls) == 5
+
+
+# (d, matrix, K, extra spec fields): each dense case has a sparse partner on
+# the other side of the rule |det M|^2 K < c
+SIDE_CASES = [
+    (0, LatticeMatrix(0.5, 0, 0, 0.5), 16, {}),
+    (0, SHEARED, 16, {}),
+    (2, SHEARED, 16, {}),
+    (2, SHEARED.scaled(2.5), 16, {}),
+    (2, SHEARED, 16, {"window_dilation": 2.0}),
+    (2, SHEARED.scaled(2.5), 16, {"window_dilation": 2.0}),
+    (0, SHEARED, 16, {"component_indices": (0, 0)}),
+    (0, SHEARED.scaled(2.5), 16, {"component_indices": (0, 0)}),
+    (0, LatticeMatrix(math.sqrt(0.05), 0, 0, math.sqrt(0.05)), 128, {}),
+]
+
+
+@pytest.mark.parametrize("d, M, K, kw", SIDE_CASES)
+def test_frame_matrix_matches_direct_sum(d, M, K, kw):
+    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+    ref = direct_frame_matrix(spec)
+    S = assemble_frame_matrix(spec)
+    B = np.linalg.eigvalsh(ref)[-1]
+    assert np.max(np.abs(S - ref)) <= 1e-12 * B
+
+
+def test_enumerated_lattice_follows_the_rule(monkeypatch):
+    seen = []
+    enumerate_points = frameop.enumerate_points
+    monkeypatch.setattr(frameop, "enumerate_points",
+                        lambda *args, **kw: seen.append(args[0]) or
+                        enumerate_points(*args, **kw))
+    sides = set()
+    for d, M, K, kw in SIDE_CASES:
+        spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+        dense = abs(M.determinant) ** 2 * K < len(spec.indices)
+        sides.add(dense)
+        seen.clear()
+        assemble_frame_matrix(spec)
+        (generator,) = seen
+        if dense:
+            assert generator == M.adjoint()
+            assert abs(generator.determinant) == pytest.approx(
+                1.0 / abs(M.determinant), rel=1e-12)
+        else:
+            assert generator == M
+    assert sides == {False, True}
+
+
+def test_adjoint_lattice():
+    # symplectic pairings of M(Z^2) with its adjoint are integers
+    adj = SHEARED.adjoint()
+    pairing = SHEARED.as_array().T @ np.array([[0, 1], [-1, 0]]) @ adj.as_array()
+    assert np.allclose(pairing, np.round(pairing), atol=1e-12)
+    assert abs(np.linalg.det(np.round(pairing))) == pytest.approx(1.0)
+    assert abs(adj.determinant) == pytest.approx(1.0 / abs(SHEARED.determinant))
+    # J^{-1} J^{-1} = -I: the adjoint's adjoint generates M(Z^2) again
+    assert adj.adjoint().as_array() == pytest.approx(-SHEARED.as_array())
 
 
 def test_spec_validation():
