@@ -42,22 +42,21 @@ class AmbiguityField:
     mass_check: float
 
 
-def certification_grid(d: int, region: Region = None,
-                       step: float = DEFAULT_STEP) -> GridSpec:
+def certification_grid(d: int, region: Region = None) -> GridSpec:
     """Real-line grid wide enough to translate (h_0..h_d) across the region."""
     if region is None:
         region = default_region(d)
     half = region.x_half + math.sqrt(2 * d + 1) + 8.0
-    count = int(math.ceil(2.0 * half / step))
-    grid = GridSpec(half_width=count * step / 2.0, step=step, count=count)
+    count = int(math.ceil(2.0 * half / DEFAULT_STEP))
+    grid = GridSpec(half_width=count * DEFAULT_STEP / 2.0, step=DEFAULT_STEP,
+                    count=count)
     grid.check_nyquist(region.xi_half, d)
     return grid
 
 
-def certification_window(d: int, region: Region = None,
-                         step: float = DEFAULT_STEP) -> VectorWindow:
+def certification_window(d: int, region: Region = None) -> VectorWindow:
     """The window (h_0,...,h_d) on a grid sized by ``certification_grid``."""
-    return hermite_window(d, certification_grid(d, region, step))
+    return hermite_window(d, certification_grid(d, region))
 
 
 def _center_value(f: SampledField) -> complex:
@@ -229,24 +228,32 @@ def _tv_estimate(F: SampledField) -> float:
     return float(F.x_step * F.xi_step * np.sum(np.abs(gx) + np.abs(gxi)))
 
 
-def certificate(w: VectorWindow, M: LatticeMatrix,
-                region: Region = None) -> Certificate:
-    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||;
-    PreconditionError when the region cuts the ambiguity function off (its
-    boundary values exceed BOUNDARY_DECAY_TOL of its maximum)."""
+def _checked_ambiguity(w: VectorWindow, region: Region, r_min: float) -> SampledField:
+    """Ambiguity field of the orthonormal window w over the region (default
+    region when None), for oscillation radii from r_min on; PreconditionError
+    when the region cuts it off (its boundary values exceed
+    BOUNDARY_DECAY_TOL of its maximum)."""
     _check_orthonormal(w)
     if region is None:
         region = default_region(w.degree)
+    check_resolution(r_min, region.x_step, region.xi_step)
+    F = ambiguity(w, region).field
+    _check_boundary_decay(F, "ambiguity function")
+    return F
+
+
+def certificate(w: VectorWindow, M: LatticeMatrix,
+                region: Region = None) -> Certificate:
+    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||; the
+    region must hold the ambiguity function (PreconditionError otherwise)."""
     r = box_norm(M)
-    check_resolution(r, region.x_step, region.xi_step)
-    amb = ambiguity(w, region)
-    _check_boundary_decay(amb.field, "ambiguity function")
-    R = osc_l1(amb.field, r)
+    F = _checked_ambiguity(w, region, r)
+    R = osc_l1(F, r)
     det = covolume(M)
     valid = R < 1.0
     A = (1.0 - R) ** 2 / det if valid else 0.0
     B = (1.0 + R) ** 2 / det
-    eps = 2.0 * amb.field.x_step * _tv_estimate(amb.field) / det
+    eps = 2.0 * F.x_step * _tv_estimate(F) / det
     return Certificate(radius=r, ratio=R, A_cert=A, B_cert=B, valid=valid,
                        matrix=M, window_degree=w.degree, eps_disc=eps)
 
@@ -261,15 +268,10 @@ def c_lower_estimate(w: VectorWindow, r_list, region: Region = None) -> float:
         raise ValueError("r_list must be nonempty")
     if min(r_list) <= 0:
         raise ValueError("radii must be positive")
-    _check_orthonormal(w)
-    if region is None:
-        region = default_region(w.degree)
-    check_resolution(min(r_list), region.x_step, region.xi_step)
-    amb = ambiguity(w, region)
-    _check_boundary_decay(amb.field, "ambiguity function")
+    F = _checked_ambiguity(w, region, min(r_list))
     best = math.inf
     for r in r_list:
-        R = osc_l1(amb.field, r)
+        R = osc_l1(F, r)
         if R == 0.0:
             raise GaborError(
                 f"R({r}) = 0 for a nonzero window: grid failure")

@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--matrix", default=None)
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--truncation-radius", dest="truncation_radius",
-                   type=float, default=None)
     p.add_argument("--dilation", type=float, default=None)
     p.add_argument("--budget", type=int, default=None)
     common(p)
@@ -85,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="oscillation frame certificate")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--matrix", default=None)
-    p.add_argument("--region-half", dest="region_half", type=float, default=None)
     p.add_argument("--region-step", dest="region_step", type=float, default=None)
     common(p)
 
@@ -235,7 +232,6 @@ def _prepare_norm(cfg: dict):
 def _prepare_bounds(cfg: dict):
     spec = GaborSystemSpec(
         window_degree=cfg.get("d", 0), matrix=_matrix(cfg),
-        truncation_radius=cfg.get("truncation_radius"),
         galerkin_dim=cfg.get("K", DEFAULT_GALERKIN_DIM),
         window_dilation=cfg.get("dilation", 1.0),
         point_budget=cfg.get("budget", DEFAULT_POINT_BUDGET))
@@ -251,8 +247,7 @@ def _prepare_bounds(cfg: dict):
 def _prepare_certify(cfg: dict):
     M = _matrix(cfg)
     d = cfg.get("d", 0)
-    region = default_region(d, cfg.get("region_step", REGION_STEP),
-                            cfg.get("region_half"))
+    region = default_region(d, cfg.get("region_step", REGION_STEP))
     w = certification_window(d, region)
     check_resolution(box_norm(M), region.x_step, region.xi_step)
 

@@ -6,8 +6,8 @@ eigenvalues bracket the optimal frame bounds from inside (A_est >= A_true,
 B_est <= B_true), with the bracket closing as K grows.
 
 The matrix is summed over M(Z^2) or, by Janssen's representation, over its
-adjoint lattice J^{-1} M^{-T}(Z^2) of covolume 1/|det M|, whichever side
-``_adjoint_side`` finds cheaper.
+adjoint lattice J^{-1} M^{-T}(Z^2) of covolume 1/|det M|, whichever is
+cheaper: ``GaborSystemSpec.summed_lattice``.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ class GaborSystemSpec:
     the component list (e.g. (1,) for the scalar h_1 system, (0, 0) for the
     degenerate duplicated-Gaussian window). ``window_dilation`` applies D_a
     to window and test basis alike, keeping the Galerkin compression
-    unitarily covariant. Construction builds the assembly's grid and
-    enumeration box, raising CapacityError or BudgetError there.
+    unitarily covariant. Construction builds the assembly's grid and the
+    enumeration box of its summed lattice, raising CapacityError or
+    BudgetError there.
     """
 
     window_degree: int
     matrix: LatticeMatrix
-    truncation_radius: Optional[float] = None
     galerkin_dim: int = DEFAULT_GALERKIN_DIM
     window_dilation: float = 1.0
     component_indices: Optional[tuple] = None
@@ -72,15 +72,16 @@ class GaborSystemSpec:
     def __post_init__(self):
         if self.window_degree < 0:
             raise ValueError("window degree must be nonnegative")
+        if not self.indices:
+            raise ValueError("window needs at least one component")
+        if min(self.indices) < 0:
+            raise ValueError("Hermite indices must be nonnegative")
         if self.galerkin_dim <= self.max_window_index:
             raise ValueError("galerkin_dim must exceed the largest window index")
         if self.window_dilation <= 0:
             raise ValueError("window dilation must be positive")
-        if self.truncation_radius is not None and \
-                self.truncation_radius < box_norm(self.matrix):
-            raise ValueError("truncation_radius below box_norm(matrix)")
         self.grid()
-        enumeration_box(self.matrix, self.radius, self.point_budget)
+        enumeration_box(self.summed_lattice, self.radius, self.point_budget)
 
     @property
     def indices(self) -> tuple:
@@ -90,16 +91,22 @@ class GaborSystemSpec:
 
     @property
     def max_window_index(self) -> int:
-        if self.component_indices is not None:
-            return max(int(i) for i in self.component_indices)
-        return self.window_degree
+        return max(self.indices)
 
     @property
     def radius(self) -> float:
-        if self.truncation_radius is not None:
-            return self.truncation_radius
         return default_truncation_radius(self.galerkin_dim, self.max_window_index,
                                          self.window_dilation)
+
+    @property
+    def summed_lattice(self) -> LatticeMatrix:
+        """The lattice the frame matrix is summed over: M, or its adjoint
+        when |det M|^2 K < c. Both sides keep the same box, so the adjoint
+        side has |det M|^2 times as many points; per point it projects K
+        window rows instead of c."""
+        if covolume(self.matrix) ** 2 * self.galerkin_dim < len(self.indices):
+            return self.matrix.adjoint()
+        return self.matrix
 
     def freq_cutoff(self) -> float:
         """Modulations beyond this couple the window to the test space only
@@ -160,14 +167,6 @@ def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
     return (step * (V.reshape(n * R, x.size) @ H.T)).reshape(n, R, H.shape[0])
 
 
-def _adjoint_side(spec: GaborSystemSpec) -> bool:
-    """True when the frame matrix is summed over the adjoint lattice.
-
-    Both sides keep the same box, so the adjoint side has |det M|^2 times as
-    many points; per point it projects K window rows instead of c."""
-    return covolume(spec.matrix) ** 2 * spec.galerkin_dim < len(spec.indices)
-
-
 def _assemble(spec: GaborSystemSpec):
     """Frame matrix plus a bound on the spectral norm of the outermost-shell
     contribution.
@@ -187,9 +186,9 @@ def _assemble(spec: GaborSystemSpec):
     basis = dilated_hermite_all(max(K - 1, spec.max_window_index), a, x)
     H = basis[:K]                       # (K, N) orthonormal test functions
     r_cut = spec.radius
-    adjoint = _adjoint_side(spec)
-    generator = spec.matrix.adjoint() if adjoint else spec.matrix
-    pts = enumerate_points(generator, r_cut, budget=spec.point_budget)
+    lattice = spec.summed_lattice
+    adjoint = lattice != spec.matrix
+    pts = enumerate_points(lattice, r_cut, budget=spec.point_budget)
     g = pts.points
     keep = (np.abs(g[:, 0]) <= spec.time_cutoff()) & \
            (np.abs(g[:, 1]) <= spec.freq_cutoff())

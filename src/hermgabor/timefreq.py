@@ -188,24 +188,24 @@ class Region:
         return self.xi_step * np.arange(-n, n + 1)
 
 
-def default_region(d: int, step: float = REGION_STEP, half: float = None) -> Region:
-    """STFT region [-L_x, L_x] x [-L, L], L = ``half`` (default sqrt(2d+1) + 8)
-    and L_x = L, both rounded up to a multiple of ``step``.
+def default_region(d: int, step: float = REGION_STEP) -> Region:
+    """STFT region [-L_x, L_x] x [-L_xi, L_xi], both halves rounded up to a
+    multiple of ``step``.
 
-    With the default half and d >= WIDE_REGION_DEGREE, L_x widens to
-    2 sqrt(2d+1) + 5: the ambiguity function of (h_0..h_d) decays 2*pi times
-    more slowly in x than in xi, and from d = 6 on it still exceeds 1e-8 of
-    its maximum at |x| = sqrt(2d+1) + 8 (below 1e-9 at the widened edge)."""
+    L_x = sqrt(2d+1) + 8, widened to 2 sqrt(2d+1) + 5 from d =
+    WIDE_REGION_DEGREE on: there the ambiguity function of (h_0..h_d) still
+    exceeds 1e-8 of its maximum at sqrt(2d+1) + 8 (below 1e-9 at the widened
+    edge). It depends on (x, xi) only through x^2 + (2 pi xi)^2, so it has
+    decayed as far at L_x / (2 pi) in xi; L_xi adds 1 to that, keeping an
+    oscillation disc of radius up to 1 inside the region."""
     if d < 0 or step <= 0:
         raise ValueError("default_region needs d >= 0 and step > 0")
     root = math.sqrt(2 * d + 1)
-    x_half = half
-    if half is None:
-        half = root + 8.0
-        x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else half
-    L = math.ceil(half / step) * step
-    L_x = math.ceil(x_half / step) * step
-    return Region(x_half=L_x, xi_half=L, x_step=step, xi_step=step)
+    x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else root + 8.0
+    xi_half = x_half / TWO_PI + 1.0
+    return Region(x_half=math.ceil(x_half / step) * step,
+                  xi_half=math.ceil(xi_half / step) * step,
+                  x_step=step, xi_step=step)
 
 
 @dataclass(frozen=True, eq=False)

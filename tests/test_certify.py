@@ -198,8 +198,8 @@ def test_ambiguity_grid_too_small_for_region():
 
 def test_certificate_rejects_region_cutting_off_the_ambiguity():
     # a half-width of 0.2 holds only the peak of the Gaussian's ambiguity
-    # function; its truncated field would give R = 0.122 (valid)
-    region = default_region(0, half=0.2)
+    # function; its truncated field would give R = 0.047 (valid)
+    region = Region(x_half=0.2, xi_half=0.2, x_step=1 / 16, xi_step=1 / 16)
     w = certification_window(0, region)
     with pytest.raises(PreconditionError, match="region boundary"):
         certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
@@ -207,13 +207,15 @@ def test_certificate_rejects_region_cutting_off_the_ambiguity():
         c_lower_estimate(w, [0.1, 0.2], region)
 
 
-@pytest.mark.parametrize("d", range(13))
+@pytest.mark.parametrize("d", list(range(13)) + [17, 18, 25, 40])
 def test_default_region_holds_the_ambiguity(d):
     region = default_region(d)
-    L = math.ceil((math.sqrt(2 * d + 1) + 8.0) * 16) / 16
-    assert region.xi_half == L
-    # degrees 0-5 keep the square region of sqrt(2d+1) + 8
-    assert (region.x_half == L) == (d <= 5)
+    root = math.sqrt(2 * d + 1)
+    x_half = root + 8.0 if d <= 5 else 2.0 * root + 5.0
+    assert region.x_half == math.ceil(x_half * 16) / 16
+    # F depends on x^2 + (2 pi xi)^2: the xi half is the x half over 2 pi,
+    # plus room for an oscillation disc of radius 1
+    assert region.xi_half == math.ceil((x_half / (2 * math.pi) + 1) * 16) / 16
     F = ambiguity(certification_window(d), region).field.values
     edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
     assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()

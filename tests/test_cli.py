@@ -48,10 +48,23 @@ def test_bounds_json_file(tmp_path, capsys):
 
 
 def test_bounds_budget_exit_3(tmp_path, capsys):
+    # a sparse lattice is summed directly, over a 3351x3351 box
     code, _, err = run(capsys, "bounds", "--d", "0", "--matrix",
-                       "0.001,0,0,0.001", "--K", "16", "--budget", "1000")
+                       "1,100,0,1", "--K", "16")
     assert code == 3
     assert "budget" in err
+
+
+def test_bounds_dense_lattice(capsys):
+    # summed over its adjoint lattice, a 3x3 box; A = B = 1/|det M|
+    argv = ("bounds", "--d", "0", "--matrix", "0.001,0,0,0.001", "--K", "16")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    fb = bounds_from_json(out)
+    assert fb.A_est == pytest.approx(1e6, rel=1e-6)
+    assert fb.B_est == pytest.approx(1e6, rel=1e-6)
 
 
 def test_certify_json(tmp_path, capsys):
@@ -62,6 +75,15 @@ def test_certify_json(tmp_path, capsys):
     assert out.count("certificate valid") == 1
     cert = certificate_from_json(out_file.read_text())
     assert cert.valid
+
+
+def test_certify_high_degree(capsys):
+    argv = ("certify", "--d", "18", "--matrix", "0.1,0,0,0.1")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert certificate_from_json(out).window_degree == 18
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):
@@ -110,10 +132,23 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_config_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for field in ("matrxi", "step", "half_width"):
+    for field in ("matrxi", "step", "half_width", "truncation_radius",
+                  "region_half"):
         cfg.write_text(json.dumps({field: "1,0,0,1"}))
         code, _, err = run(capsys, "norm", "--config", str(cfg))
         assert code == 2 and "unknown config fields" in err
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    # the truncation radius and the certificate region follow from the request
+    for argv in (("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5",
+                  "--truncation-radius", "0.36"),
+                 ("certify", "--d", "0", "--matrix", "0.5,0,0,0.5",
+                  "--region-half", "0.2")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_validate_only(capsys):
@@ -136,26 +171,21 @@ def test_validate_nyquist_diagnostic(capsys):
 
 
 def test_validate_budget_diagnostic(capsys):
-    # a large dilation widens the truncation radius, hence the box
-    argv = ("bounds", "--d", "0", "--matrix", "0.01,0,0,0.01", "--K", "16",
-            "--dilation", "4", "--budget", "15000000")
+    # a large dilation widens the truncation radius, hence the box of the
+    # adjoint lattice this dense one is summed over (2681x2681 at dilation 1)
+    argv = ("bounds", "--d", "0", "--matrix", "80,0,0,0.00001", "--K", "16")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    argv += ("--dilation", "4")
     code, out, _ = run(capsys, *argv, "--validate-only")
     assert code == 2 and "exceeds point budget" in out
     code, _, err = run(capsys, *argv)
     assert code == 3 and "budget" in err
 
 
-def test_certify_rejects_truncated_region(capsys):
-    argv = ("certify", "--d", "0", "--matrix", "0.5,0,0,0.5",
-            "--region-half", "0.2")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and not out and "region boundary" in err
-
-
 REJECTED = [
     # --validate-only used to print "ok" for these, then the run failed
     ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.2 --K 32", 2, "Nyquist"),
-    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-half 20", 2, "Nyquist"),
     ("certify --d 0 --matrix 0.01,0,0,0.01", 2, "grid resolution"),
     ("scan --d 40 --matrix 1,0,0,1 --t-list 0.5", 2, "galerkin_dim"),
     ("covariance --d 40 --matrix 0.4,0,0,0.4 --b 2", 2, "galerkin_dim"),
@@ -169,7 +199,8 @@ REJECTED = [
     ("bounds --d 0 --matrix 0.5,0,0,0.5 --config {cfg}", 2, "invalid values"),
     ("scan --d 0 --t-list 0.4,0.5", 2, "descending"),
     ("bounds --d 0", 2, "requires --matrix"),
-    ("bounds --d 0 --matrix 0.01,0,0,0.01 --K 16 --budget 1000", 3,
+    ("bounds --d 0 --matrix 1,100,0,1 --K 16", 3, "exceeds point budget"),
+    ("bounds --d 0 --matrix 1000,0,0,0.00001 --K 16", 3,
      "exceeds point budget"),
 ]
 

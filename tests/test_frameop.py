@@ -52,7 +52,7 @@ def test_tail_bound_small():
     # outermost shell, so the bound is positive
     for t, adjoint in ((1.0, False), (0.5, True)):
         spec = make_spec(t=t, K=12)
-        assert frameop._adjoint_side(spec) == adjoint
+        assert (spec.summed_lattice != spec.matrix) == adjoint
         fb = frame_bounds(spec, check_convergence=False)
         assert 0.0 < fb.tail_bound < 1e-20
 
@@ -158,6 +158,7 @@ def test_enumerated_lattice_follows_the_rule(monkeypatch):
         seen.clear()
         assemble_frame_matrix(spec)
         (generator,) = seen
+        assert generator == spec.summed_lattice
         if dense:
             assert generator == M.adjoint()
             assert abs(generator.determinant) == pytest.approx(
@@ -182,13 +183,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         make_spec(d=5, K=4)
     with pytest.raises(ValueError):
-        make_spec(truncation_radius=0.01)
-    with pytest.raises(ValueError):
         make_spec(window_dilation=-1.0)
     with pytest.raises(CapacityError, match="Nyquist"):
         make_spec(K=64, window_dilation=0.1)
-    with pytest.raises(BudgetError):
-        make_spec(t=0.001, point_budget=1000)
+    # the budget bounds the box of the summed lattice: a dense lattice's
+    # sparse adjoint is admitted, an oversized box on either side is not
+    make_spec(t=0.001, point_budget=1000)
+    for M in (LatticeMatrix(1, 100, 0, 1), LatticeMatrix(1000, 0, 0, 1e-5)):
+        with pytest.raises(BudgetError):
+            GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16)
+    for indices, message in (((0, -2), "nonnegative"), ((-1,), "nonnegative"),
+                             ((), "at least one component")):
+        with pytest.raises(ValueError, match=message):
+            make_spec(component_indices=indices)
     with pytest.raises(ValueError):
         FrameBounds(A_est=2.0, B_est=1.0, galerkin_dim=8, converged=True,
                     tail_bound=0.0)
