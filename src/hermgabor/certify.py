@@ -8,6 +8,10 @@ r = ||M|| certifies the two-sided sampling estimate, hence frame bounds
     A_cert = (1 - R)^2 / |det M|,   B_cert = (1 + R)^2 / |det M|
 
 for any window with orthonormal components.
+
+F of a Hermite window is computed in closed form, as a sum of Laguerre
+functions (see ``ambiguity``); R is computed from the running maxima and
+minima of the real field over the oscillation disc (see ``oscillation``).
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from .errors import GaborError, PreconditionError, ResolutionError
 from .grid import DEFAULT_STEP, GridSpec
 from .hermite import VectorWindow, hermite_window
 from .lattice import LatticeMatrix, box_norm, covolume
-from .timefreq import (Region, SampledField, default_region, field_l2,
-                       signal_from_window, stft)
+from .timefreq import (TWO_PI, Region, SampledField, check_region_capacity,
+                       default_region, field_l2)
+# not called here: perfbench/tracing.py wraps hermgabor.certify.stft (with
+# ambiguity and osc_l1), so the name must stay bound in this module
+from .timefreq import stft  # noqa: F401
 
 BOUNDARY_DECAY_TOL = 1e-8
 # columns this far (relatively) below the field maximum cannot move any
@@ -34,8 +41,9 @@ NEGLIGIBLE_COLUMN = 1e-200
 
 @dataclass(frozen=True, eq=False)
 class AmbiguityField:
-    """F = V_f f on a region grid; mass_check is the discrete ||F||^2
-    (isometry target: number of window components)."""
+    """F = V_f f on a region grid, a real field in the symmetric gauge;
+    mass_check is the discrete ||F||^2 (isometry target: number of window
+    components)."""
 
     field: SampledField
     window_degree: int
@@ -59,34 +67,42 @@ def certification_window(d: int, region: Region = None) -> VectorWindow:
     return hermite_window(d, certification_grid(d, region))
 
 
-def _center_value(f: SampledField) -> complex:
-    ix = int(np.argmin(np.abs(f.x_axis)))
-    ij = int(np.argmin(np.abs(f.xi_axis)))
-    return complex(f.values[ix, ij])
-
-
 def ambiguity(w: VectorWindow, region: Region = None) -> AmbiguityField:
     """Ambiguity function of the vector window over the region grid.
 
     Values carry the symmetric time-frequency gauge, F(x,xi) =
     e^{-i*pi*x*xi} <f, T_x M_xi f>: in this gauge (and only in it) the range
     of the transform is reproduced by twisted convolution with F, which is
-    the identity the certificate chain rests on.
+    the identity the certificate chain rests on. There the ambiguity
+    function of h_{n,a} is the Laguerre function l_n(s) = e^{-s/2} L_n(s) of
+    s = (x^2/a + a*(2*pi*xi)^2)/2 (Thangavelu, Lectures on Hermite and
+    Laguerre Expansions, 1993, ch. 1; DLMF 18.9), so F is the real sum of
+    l_n over the window's indices, evaluated by the three-term recurrence
+    (n+1) l_{n+1} = (2n+1-s) l_n - n l_{n-1}. The region must fit the
+    window's grid as for ``stft`` (CapacityError otherwise).
     """
     if region is None:
         region = default_region(w.degree)
-    f = signal_from_window(w)
-    field = stft(w, f, region)
-    gauge = np.exp(-1j * math.pi * np.outer(field.x_axis, field.xi_axis))
-    field = SampledField(x_axis=field.x_axis, xi_axis=field.xi_axis,
-                         values=field.values * gauge)
-    mass = field_l2(field) ** 2
-    center = _center_value(field)
-    if abs(center - w.n_components) > 1e-6:
-        raise GaborError(
-            f"ambiguity center {center} differs from component count "
-            f"{w.n_components}; grid or region capacity is insufficient")
-    return AmbiguityField(field=field, window_degree=w.degree, mass_check=mass)
+    check_region_capacity(w, region)
+    a = abs(w.dilation)
+    x, xi = region.x_axis, region.xi_axis
+    u, v = x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0   # s = u + v
+    s = np.add.outer(u, v)
+    counts = np.bincount(w.indices)
+    values = np.zeros_like(s)
+    ell_prev, ell = 0.0, np.multiply.outer(np.exp(-0.5 * u), np.exp(-0.5 * v))
+    for n, count in enumerate(counts):
+        if count:
+            values += count * ell
+        if n + 1 < counts.size:
+            ell_next = (2 * n + 1) - s
+            ell_next *= ell
+            ell_next -= n * ell_prev
+            ell_next /= n + 1
+            ell_prev, ell = ell, ell_next
+    field = SampledField(x_axis=x, xi_axis=xi, values=values)
+    return AmbiguityField(field=field, window_degree=w.degree,
+                          mass_check=field_l2(field) ** 2)
 
 
 def _check_boundary_decay(f: SampledField, name: str) -> None:
@@ -147,17 +163,18 @@ def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
                         flags=("boundary_ring",))
 
 
-def _disc_offsets(hx: float, hxi: float, r: float):
-    dx_max = int(math.ceil(r / hx))
-    dj_max = int(math.ceil(r / hxi))
-    offs = []
-    for di in range(-dx_max, dx_max + 1):
-        for dj in range(-dj_max, dj_max + 1):
-            if di == 0 and dj == 0:
-                continue
-            if (di * hx) ** 2 + (dj * hxi) ** 2 < r * r:
-                offs.append((di, dj))
-    return offs
+def _disc_rows(hx: float, hxi: float, r: float) -> list:
+    """[(di, w)] for di = 0, 1, ...: the grid offsets (di, dj) with
+    (di*hx)^2 + (dj*hxi)^2 < r^2 are those with |dj| <= w, on rows +-di."""
+    rows = []
+    di = 0
+    while (di * hx) ** 2 < r * r:
+        w = 0
+        while (di * hx) ** 2 + ((w + 1) * hxi) ** 2 < r * r:
+            w += 1
+        rows.append((di, w))
+        di += 1
+    return rows
 
 
 def check_resolution(r: float, hx: float, hxi: float) -> None:
@@ -169,22 +186,43 @@ def check_resolution(r: float, hx: float, hxi: float) -> None:
 
 
 def oscillation(F: SampledField, r: float) -> SampledField:
-    """Pointwise sup of |F(p) - F(q)| over grid nodes q within distance < r
-    (a real field)."""
+    """Pointwise sup of |F(p) - F(q)| over grid nodes q of the field within
+    distance < r of p, for a real field (ValueError for a complex one).
+
+    Over the disc D(p) (p included) the sup is max(max_D F - F(p),
+    F(p) - min_D F). D(p) is a stack of rows |dj| <= w(di), so running max
+    and min of F over xi-windows of half-width w = 0, 1, ... are folded into
+    the disc max and min, each row offset at its own half-width. Rounding is
+    monotone, so the result equals the sup of the rounded |F(p) - F(q)|.
+    """
+    values = F.values
+    if np.iscomplexobj(values):
+        raise ValueError("oscillation needs a real field")
     hx, hxi = F.x_step, F.xi_step
     check_resolution(r, hx, hxi)
-    nx, nxi = F.values.shape
-    out = np.zeros((nx, nxi))
-    for (di, dj) in _disc_offsets(hx, hxi, r):
-        s0, s1 = max(di, 0), max(-di, 0)
-        t0, t1 = max(dj, 0), max(-dj, 0)
-        a = F.values[s0:nx - s1, t0:nxi - t1]
-        b = F.values[s1:nx - s0, t1:nxi - t0]
-        diff = np.abs(a - b)
-        view = out[s0:nx - s1, t0:nxi - t1]
-        np.maximum(view, diff, out=view)
+    nx, nxi = values.shape
+    run_max, run_min = values.copy(), values.copy()
+    disc_max, disc_min = values.copy(), values.copy()
+    width = 0
+    # half-widths are nonincreasing in di: visit the rows widest last
+    for di, w in reversed(_disc_rows(hx, hxi, r)):
+        for k in range(width + 1, min(w, nxi - 1) + 1):
+            for run, op in ((run_max, np.maximum), (run_min, np.minimum)):
+                op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
+                op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
+        width = w
+        for s in {di, -di}:
+            if abs(s) >= nx:
+                continue
+            dst = slice(max(-s, 0), nx - max(s, 0))
+            src = slice(max(s, 0), nx - max(-s, 0))
+            np.maximum(disc_max[dst], run_max[src], out=disc_max[dst])
+            np.minimum(disc_min[dst], run_min[src], out=disc_min[dst])
+    disc_max -= values
+    np.subtract(values, disc_min, out=disc_min)
+    np.maximum(disc_max, disc_min, out=disc_max)
     return SampledField(x_axis=F.x_axis.copy(), xi_axis=F.xi_axis.copy(),
-                        values=out)
+                        values=disc_max)
 
 
 def osc_l1(F: SampledField, r: float) -> float:

@@ -24,7 +24,7 @@ from .errors import ConvergenceError
 from .grid import GridSpec
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
-from .hermite import dilated_hermite_all
+from .hermite import dilated_hermite_all, hermite_indices
 
 DEFAULT_GALERKIN_DIM = 64
 REFUTATION_GALERKIN_DIM = 128
@@ -72,10 +72,7 @@ class GaborSystemSpec:
     def __post_init__(self):
         if self.window_degree < 0:
             raise ValueError("window degree must be nonnegative")
-        if not self.indices:
-            raise ValueError("window needs at least one component")
-        if min(self.indices) < 0:
-            raise ValueError("Hermite indices must be nonnegative")
+        # max_window_index reads self.indices, which checks component_indices
         if self.galerkin_dim <= self.max_window_index:
             raise ValueError("galerkin_dim must exceed the largest window index")
         if self.window_dilation <= 0:
@@ -86,7 +83,7 @@ class GaborSystemSpec:
     @property
     def indices(self) -> tuple:
         if self.component_indices is not None:
-            return tuple(int(i) for i in self.component_indices)
+            return hermite_indices(self.component_indices)
         return tuple(range(self.window_degree + 1))
 
     @property

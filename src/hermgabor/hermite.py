@@ -12,6 +12,7 @@ form with its factorial prefactors is kept only as a small-n test oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,22 @@ class VectorWindow:
         return len(self.indices)
 
 
-def window_from_indices(indices, grid: GridSpec, dilation: float = 1.0) -> VectorWindow:
-    indices = tuple(int(i) for i in indices)
+def hermite_indices(indices) -> tuple:
+    """The component indices as a tuple of ints; ValueError unless it is a
+    nonempty list of nonnegative integers (numpy integers included)."""
+    try:
+        indices = tuple(operator.index(i) for i in indices)
+    except TypeError:
+        raise ValueError("Hermite indices must be integers") from None
     if not indices:
         raise ValueError("window needs at least one component")
     if min(indices) < 0:
         raise ValueError("Hermite indices must be nonnegative")
+    return indices
+
+
+def window_from_indices(indices, grid: GridSpec, dilation: float = 1.0) -> VectorWindow:
+    indices = hermite_indices(indices)
     grid.check_support(max(indices), dilation)
     x = grid.points
     table = dilated_hermite_all(max(indices), dilation, x)

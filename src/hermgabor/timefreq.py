@@ -210,7 +210,7 @@ def default_region(d: int, step: float = REGION_STEP) -> Region:
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """Complex field on the time-frequency plane, indexed (x, xi)."""
+    """Real or complex field on the time-frequency plane, indexed (x, xi)."""
 
     x_axis: np.ndarray
     xi_axis: np.ndarray
@@ -234,16 +234,24 @@ def field_l2(f: SampledField) -> float:
     return math.sqrt(f.x_step * f.xi_step * float(np.sum(np.abs(f.values) ** 2)))
 
 
+def check_region_capacity(window: VectorWindow, region: Region) -> None:
+    """CapacityError unless the window's grid holds every time shift of the
+    window across the region and resolves every modulation in it (Nyquist)."""
+    grid = window.grid
+    if region.x_half + _window_support(window) > grid.half_width + grid.step:
+        raise CapacityError("region time extent exceeds grid capacity")
+    grid.check_nyquist(float(region.xi_axis[-1]), max(window.indices),
+                       window.dilation)
+
+
 def stft(window: VectorWindow, g: SampledSignal, region: Region) -> SampledField:
     """V_w g(x, xi) = <g, T_x M_xi w> sampled over the region."""
     if g.grid != window.grid:
         raise ValueError("signal and window live on different grids")
+    check_region_capacity(window, region)
     grid = window.grid
     x_axis = region.x_axis
     xi_axis = region.xi_axis
-    if region.x_half + _window_support(window) > grid.half_width + grid.step:
-        raise CapacityError("region time extent exceeds grid capacity")
-    grid.check_nyquist(float(xi_axis[-1]), max(window.indices), window.dilation)
     t = grid.points
     B = np.exp(-1j * TWO_PI * np.outer(xi_axis, t))  # (n_xi, N)
     out = np.empty((x_axis.size, xi_axis.size), dtype=complex)

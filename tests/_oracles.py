@@ -58,3 +58,28 @@ def direct_frame_matrix(spec):
         rows = coeff.transpose(1, 0, 2).reshape(len(g1), S.shape[0])
         S += rows.conj().T @ rows
     return S
+
+
+def oscillation_oracle(F, r):
+    """Pointwise sup of |F(p) - F(q)| over grid nodes q != p of the field
+    with (di*hx)^2 + (dj*hxi)^2 < r^2, one offset (di, dj) at a time; F may
+    be complex. Offsets reaching past the field pair no nodes and are
+    skipped."""
+    hx, hxi = F.x_step, F.xi_step
+    nx, nxi = F.values.shape
+    dx_max = int(np.ceil(r / hx))
+    dj_max = int(np.ceil(r / hxi))
+    out = np.zeros((nx, nxi))
+    for di in range(-dx_max, dx_max + 1):
+        for dj in range(-dj_max, dj_max + 1):
+            if (di, dj) == (0, 0) or abs(di) >= nx or abs(dj) >= nxi:
+                continue
+            if (di * hx) ** 2 + (dj * hxi) ** 2 >= r * r:
+                continue
+            s0, s1 = max(di, 0), max(-di, 0)
+            t0, t1 = max(dj, 0), max(-dj, 0)
+            a = F.values[s0:nx - s1, t0:nxi - t1]
+            b = F.values[s1:nx - s0, t1:nxi - t0]
+            view = out[s0:nx - s1, t0:nxi - t1]
+            np.maximum(view, np.abs(a - b), out=view)
+    return out

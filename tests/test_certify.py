@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hermgabor import (GaborError, GaborSystemSpec, LatticeMatrix,
+from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, ambiguity, box_norm, c_lower_estimate,
                        certificate, certificate_from_json, certificate_to_json,
                        certification_window, default_region, frame_bounds,
-                       osc_l1, oscillation, twisted_convolve)
+                       osc_l1, oscillation, signal_from_window, stft,
+                       twisted_convolve, window_from_indices)
 from hermgabor.certify import BOUNDARY_DECAY_TOL
+
+from _oracles import oscillation_oracle
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
 
@@ -39,6 +42,25 @@ def test_gaussian_ambiguity_closed_form(gauss_field):
     X, XI = np.meshgrid(F.x_axis, F.xi_axis, indexing="ij")
     np.testing.assert_allclose(
         F.values.real, np.exp(-X ** 2 / 4 - np.pi ** 2 * XI ** 2), atol=1e-9)
+
+
+@pytest.mark.parametrize("indices, dilation",
+                         [(tuple(range(d + 1)), 1.0) for d in (0, 1, 2, 5, 12)]
+                         + [((1, 3), 1.0), ((0, 1, 2), 0.5), ((0, 1, 2), 2.0)])
+def test_ambiguity_closed_form_matches_stft(indices, dilation):
+    n = max(indices)
+    region = default_region(n, step=1 / 8)
+    half = region.x_half + math.sqrt((2 * n + 1) * dilation) + 8.0
+    count = math.ceil(64 * half)
+    grid = GridSpec(half_width=count / 64, step=1 / 32, count=count)
+    w = window_from_indices(indices, grid, dilation)
+    F = ambiguity(w, region).field.values
+    V = stft(w, signal_from_window(w), region)
+    # the sampled STFT in the symmetric gauge
+    G = V.values * np.exp(-1j * np.pi * np.outer(V.x_axis, V.xi_axis))
+    assert F.dtype == np.float64
+    assert np.max(np.abs(F - G)) <= 1e-13 * np.max(np.abs(F))
+    assert F[F.shape[0] // 2, F.shape[1] // 2] == len(indices)
 
 
 def smooth_random_field(rng, half=6.0, step=0.5):
@@ -134,6 +156,25 @@ def test_oscillation_monotone_and_errors(gauss_field):
     const = SampledField(x_axis=F.x_axis, xi_axis=F.xi_axis,
                          values=np.ones_like(F.values))
     assert osc_l1(const, 0.2) == 0.0
+    complex_field = SampledField(x_axis=F.x_axis, xi_axis=F.xi_axis,
+                                 values=F.values.astype(complex))
+    with pytest.raises(ValueError, match="real field"):
+        oscillation(complex_field, 0.2)
+
+
+@pytest.mark.parametrize("shape, hx, hxi, r", [
+    ((31, 17), 0.25, 0.125, 0.6),
+    ((17, 31), 0.125, 0.25, 0.125 * (1 + 1e-12)),   # r just above the step
+    # (3, 0) and (0, 6) lie on the circle, so row 3 drops out of the disc
+    ((31, 17), 0.25, 0.125, 0.75),
+    ((12, 5), 0.5, 0.5, 3.3),                       # disc wider than the field
+])
+def test_oscillation_matches_offset_oracle(shape, hx, hxi, r):
+    rng = np.random.default_rng(11)
+    F = SampledField(x_axis=hx * np.arange(shape[0]),
+                     xi_axis=hxi * np.arange(shape[1]),
+                     values=rng.normal(size=shape))
+    assert np.array_equal(oscillation(F, r).values, oscillation_oracle(F, r))
 
 
 def test_oscillation_golden(gauss_field):
@@ -158,6 +199,13 @@ def test_certificate_invalid_has_zero_lower_bound():
     M = LatticeMatrix(0.5, 0, 0, 0.5)
     cert = certificate(certification_window(0), M)
     assert not cert.valid and cert.A_cert == 0.0 and cert.B_cert > 0
+
+
+def test_certificate_disc_wider_than_the_region():
+    # r = 7.07 exceeds the default region's xi half (2.4375)
+    cert = certificate(certification_window(0), LatticeMatrix(10, 0, 0, 10))
+    assert not cert.valid
+    assert cert.ratio == pytest.approx(81.89, rel=1e-3)
 
 
 def test_certificate_requires_orthonormal_components():

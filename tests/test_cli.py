@@ -86,6 +86,16 @@ def test_certify_high_degree(capsys):
     assert certificate_from_json(out).window_degree == 18
 
 
+def test_certify_lattice_coarser_than_the_region(capsys):
+    # the oscillation disc (r = 7.07) is wider than the region's xi extent
+    code, out, _ = run(capsys, "certify", "--d", "0", "--matrix",
+                       "10,0,0,10")
+    assert code == 0
+    cert = certificate_from_json(out)
+    assert not cert.valid
+    assert cert.ratio == pytest.approx(81.89, rel=1e-3)
+
+
 def test_scan_csv_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -193,9 +193,11 @@ def test_spec_validation():
         with pytest.raises(BudgetError):
             GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16)
     for indices, message in (((0, -2), "nonnegative"), ((-1,), "nonnegative"),
-                             ((), "at least one component")):
+                             ((), "at least one component"),
+                             ((1.7,), "integers"), ((0, 1.0), "integers")):
         with pytest.raises(ValueError, match=message):
             make_spec(component_indices=indices)
+    assert make_spec(component_indices=(np.int64(1),)).indices == (1,)
     with pytest.raises(ValueError):
         FrameBounds(A_est=2.0, B_est=1.0, galerkin_dim=8, converged=True,
                     tail_bound=0.0)

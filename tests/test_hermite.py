@@ -96,6 +96,9 @@ def test_invalid_arguments():
         dilated_hermite(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         window_from_indices((), grid)
+    with pytest.raises(ValueError, match="integers"):
+        window_from_indices((0, 1.9), grid)
+    assert window_from_indices(np.arange(2), grid).indices == (0, 1)
     with pytest.raises(CapacityError):
         grid.check_support(400)
 
