@@ -15,7 +15,7 @@ from .hermite import (VectorWindow, dilated_hermite, dilated_hermite_all,
 from .lattice import (LatticeMatrix, LatticePointSet, box_norm, covolume,
                       enumerate_points)
 from .timefreq import (Region, SampledField, SampledSignal, TFPoint,
-                       default_region, dilate, field_from_binary, field_l2,
+                       default_region, field_from_binary, field_l2,
                        field_to_binary, field_to_csv, inner, modulate, norm,
                        signal_from_window, stft, tf_shift_window, translate)
 from .frameop import (FrameBounds, GaborSystemSpec, assemble_frame_matrix,
@@ -43,9 +43,9 @@ __all__ = [
     "LatticeMatrix", "LatticePointSet", "box_norm", "covolume",
     "enumerate_points",
     "Region", "SampledField", "SampledSignal", "TFPoint", "default_region",
-    "dilate", "field_from_binary", "field_l2", "field_to_binary",
-    "field_to_csv", "inner", "modulate", "norm", "signal_from_window",
-    "stft", "tf_shift_window", "translate",
+    "field_from_binary", "field_l2", "field_to_binary", "field_to_csv",
+    "inner", "modulate", "norm", "signal_from_window", "stft",
+    "tf_shift_window", "translate",
     "FrameBounds", "GaborSystemSpec", "assemble_frame_matrix",
     "bounds_from_json", "bounds_to_json", "component_bound_aggregate",
     "frame_bounds", "gl_predicate", "is_frame", "theorem1_predicted_bounds",

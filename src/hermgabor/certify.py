@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import GaborError, PreconditionError, ResolutionError
 from .grid import DEFAULT_STEP, GridSpec
@@ -137,7 +136,7 @@ def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
     hx, hxi = G.x_step, G.xi_step
     ic = int(np.argmin(np.abs(x)))   # index of x = 0
     jc = int(np.argmin(np.abs(xi)))  # index of xi = 0
-    nfft = next_fast_len(2 * nx)
+    nfft = 2 * nx
 
     W = np.exp(-1j * math.pi * np.outer(x, xi))     # e^{-i pi x' xi}
     Fhat = np.fft.fft(F.values, n=nfft, axis=0)     # per xi column

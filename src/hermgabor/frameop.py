@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 from .grid import GridSpec
@@ -236,9 +235,12 @@ def assemble_frame_matrix(spec: GaborSystemSpec) -> np.ndarray:
 
 def _extremal(S: np.ndarray):
     """(A, B): smallest eigenvalue clipped at 0, largest eigenvalue."""
+    # numpy's solver returns NaN eigenvalues for a NaN entry
+    if not np.isfinite(S).all():
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        w = scipy.linalg.eigvalsh(S)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        w = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     return max(float(w[0]), 0.0), float(w[-1])
 

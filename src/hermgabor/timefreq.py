@@ -1,4 +1,4 @@
-"""Time-frequency shifts, discrete inner products, STFT and dilations.
+"""Time-frequency shifts, discrete inner products and the STFT.
 
 Phase convention (fixed globally): f_gamma = T_{gamma1} M_{gamma2} f, i.e.
 
@@ -43,7 +43,7 @@ class SampledSignal:
 
     ``hermite`` optionally records (index, dilation) per component for
     signals that are exactly dilated Hermite functions, enabling analytic
-    translation and dilation.
+    translation.
     """
 
     grid: GridSpec
@@ -125,38 +125,6 @@ def translate(f: SampledSignal, y: float) -> SampledSignal:
         table = dilated_hermite_all(n, a, x)
         comps.append(table[n].astype(complex))
     return SampledSignal(grid=f.grid, components=tuple(comps), hermite=None)
-
-
-def dilate(f: SampledSignal, a: float) -> SampledSignal:
-    """D_a f(x) = |a|^(-1/2) f(x/|a|).
-
-    Hermite-backed signals are re-evaluated analytically (D_a h_{n,c} =
-    h_{n, c*a^2}); other signals are resampled with a cubic spline.
-    """
-    if a == 0:
-        raise ValueError("dilation factor must be nonzero")
-    if a == 1.0:
-        return f
-    if f.hermite is not None:
-        meta = tuple((n, c * a * a) for (n, c) in f.hermite)
-        f.grid.check_support(max(n for n, _ in meta), max(c for _, c in meta))
-        x = f.grid.points
-        comps = tuple(dilated_hermite_all(n, c, x)[n].astype(complex)
-                      for (n, c) in meta)
-        return SampledSignal(grid=f.grid, components=comps, hermite=meta)
-    from scipy.interpolate import CubicSpline
-
-    x = f.grid.points
-    xs = x / abs(a)
-    inside = (xs >= x[0]) & (xs <= x[-1])
-    scale = 1.0 / math.sqrt(abs(a))
-    comps = []
-    for c in f.components:
-        spline = CubicSpline(x, c)
-        vals = np.zeros_like(np.asarray(c, dtype=complex))
-        vals[inside] = scale * spline(xs[inside])
-        comps.append(vals)
-    return SampledSignal(grid=f.grid, components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def test_half_bounds_match_separate_assembly(monkeypatch, d):
     assert abs(B2 - ref.B_est) <= 1e-12 * B
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_extremal_rejects_non_finite_matrix(bad):
+    # the CLI maps the ValueError to exit 2
+    S = np.eye(4, dtype=complex)
+    S[1, 2] = S[2, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        frameop._extremal(S)
+
+
 def test_per_component_bounds_match_scalar_systems():
     spec = GaborSystemSpec(window_degree=2, matrix=SHEARED, galerkin_dim=16)
     agg = component_bound_aggregate(spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermgabor import (CapacityError, GridSpec, Region, SampledSignal, TFPoint,
-                       default_region, dilate, field_from_binary, field_l2,
+                       default_region, field_from_binary, field_l2,
                        field_to_binary, field_to_csv, hermite_window, inner,
                        modulate, norm, signal_from_window, stft,
                        tf_shift_window, translate)
@@ -86,26 +86,6 @@ def test_capacity_and_warning(gauss):
 def test_shifted_samples_no_check(gauss):
     s = shifted_window_samples(gauss, 100.0, 0.0)
     assert np.max(np.abs(s)) < 1e-300 or np.all(np.isfinite(s))
-
-
-def test_dilate_hermite_backed():
-    grid = GridSpec.build(max_index=0)
-    f = signal_from_window(hermite_window(0, grid))
-    g = dilate(f, 1.5)
-    x = grid.points
-    expect = (1.5 ** -0.5) * np.pi ** (-0.25) * np.exp(-0.5 * (x / 1.5) ** 2)
-    np.testing.assert_allclose(g.components[0], expect, atol=1e-12)
-    assert norm(g) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_dilate_spline_fallback():
-    grid = GridSpec.build(max_index=0)
-    raw = SampledSignal(grid=grid, components=(
-        np.exp(-grid.points ** 2).astype(complex),))
-    g = dilate(raw, 2.0)
-    expect = (2 ** -0.5) * np.exp(-(grid.points / 2.0) ** 2)
-    keep = np.abs(grid.points) < grid.half_width / 2
-    np.testing.assert_allclose(g.components[0][keep], expect[keep], atol=1e-6)
 
 
 def test_stft_isometry(gauss):
