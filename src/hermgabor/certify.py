@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaborError, PreconditionError, ResolutionError
+from .errors import PreconditionError, ResolutionError
 from .grid import DEFAULT_STEP, GridSpec
 from .hermite import VectorWindow, hermite_window
 from .lattice import LatticeMatrix, box_norm, covolume
 from .timefreq import (TWO_PI, Region, SampledField, check_region_capacity,
-                       default_region, field_l2)
+                       default_region)
 # not called here: perfbench/tracing.py wraps hermgabor.certify.stft (with
 # ambiguity and osc_l1), so the name must stay bound in this module
 from .timefreq import stft  # noqa: F401
@@ -38,19 +38,8 @@ BOUNDARY_DECAY_TOL = 1e-8
 NEGLIGIBLE_COLUMN = 1e-200
 
 
-@dataclass(frozen=True, eq=False)
-class AmbiguityField:
-    """F = V_f f on a region grid, a real field in the symmetric gauge;
-    mass_check is the discrete ||F||^2 (isometry target: number of window
-    components)."""
-
-    field: SampledField
-    window_degree: int
-    mass_check: float
-
-
 def certification_grid(d: int, region: Region = None) -> GridSpec:
-    """Real-line grid wide enough to translate (h_0..h_d) across the region."""
+    """Real-line grid wide enough to shift (h_0..h_d) across the region."""
     if region is None:
         region = default_region(d)
     half = region.x_half + math.sqrt(2 * d + 1) + 8.0
@@ -66,7 +55,7 @@ def certification_window(d: int, region: Region = None) -> VectorWindow:
     return hermite_window(d, certification_grid(d, region))
 
 
-def ambiguity(w: VectorWindow, region: Region = None) -> AmbiguityField:
+def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     """Ambiguity function of the vector window over the region grid.
 
     Values carry the symmetric time-frequency gauge, F(x,xi) =
@@ -99,9 +88,7 @@ def ambiguity(w: VectorWindow, region: Region = None) -> AmbiguityField:
             ell_next -= n * ell_prev
             ell_next /= n + 1
             ell_prev, ell = ell, ell_next
-    field = SampledField(x_axis=x, xi_axis=xi, values=values)
-    return AmbiguityField(field=field, window_degree=w.degree,
-                          mass_check=field_l2(field) ** 2)
+    return SampledField(x_axis=x, xi_axis=xi, values=values)
 
 
 def _check_boundary_decay(f: SampledField, name: str) -> None:
@@ -265,26 +252,19 @@ def _tv_estimate(F: SampledField) -> float:
     return float(F.x_step * F.xi_step * np.sum(np.abs(gx) + np.abs(gxi)))
 
 
-def _checked_ambiguity(w: VectorWindow, region: Region, r_min: float) -> SampledField:
-    """Ambiguity field of the orthonormal window w over the region (default
-    region when None), for oscillation radii from r_min on; PreconditionError
-    when the region cuts it off (its boundary values exceed
-    BOUNDARY_DECAY_TOL of its maximum)."""
+def certificate(w: VectorWindow, M: LatticeMatrix,
+                region: Region = None) -> Certificate:
+    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
+    the ambiguity field of the orthonormal window w over the region (default
+    region when None); PreconditionError when the region cuts that field off
+    (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum)."""
     _check_orthonormal(w)
     if region is None:
         region = default_region(w.degree)
-    check_resolution(r_min, region.x_step, region.xi_step)
-    F = ambiguity(w, region).field
-    _check_boundary_decay(F, "ambiguity function")
-    return F
-
-
-def certificate(w: VectorWindow, M: LatticeMatrix,
-                region: Region = None) -> Certificate:
-    """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||; the
-    region must hold the ambiguity function (PreconditionError otherwise)."""
     r = box_norm(M)
-    F = _checked_ambiguity(w, region, r)
+    check_resolution(r, region.x_step, region.xi_step)
+    F = ambiguity(w, region)
+    _check_boundary_decay(F, "ambiguity function")
     R = osc_l1(F, r)
     det = covolume(M)
     valid = R < 1.0
@@ -293,27 +273,6 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     eps = 2.0 * F.x_step * _tv_estimate(F) / det
     return Certificate(radius=r, ratio=R, A_cert=A, B_cert=B, valid=valid,
                        matrix=M, window_degree=w.degree, eps_disc=eps)
-
-
-def c_lower_estimate(w: VectorWindow, r_list, region: Region = None) -> float:
-    """min over probed radii of r / R(r): the largest constant C with
-    R(r) <= r/C on the probed set (a lower-bound estimator, up to
-    discretization error). The region must hold the ambiguity function, as
-    for ``certificate``."""
-    r_list = list(r_list)
-    if not r_list:
-        raise ValueError("r_list must be nonempty")
-    if min(r_list) <= 0:
-        raise ValueError("radii must be positive")
-    F = _checked_ambiguity(w, region, min(r_list))
-    best = math.inf
-    for r in r_list:
-        R = osc_l1(F, r)
-        if R == 0.0:
-            raise GaborError(
-                f"R({r}) = 0 for a nonzero window: grid failure")
-        best = min(best, r / R)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,8 @@ def _prepare_hermite(cfg: dict):
     # evaluating is as cheap as any check of n and the dilation
     n = _required(cfg, "n")
     xs = np.array(_parse_floats(cfg.get("x", "0")))
+    if not np.isfinite(xs).all():
+        raise PreconditionError("hermite needs finite --x values")
     a = float(cfg.get("dilation", 1.0))
     vals = np.atleast_1d(dilated_hermite(n, a, xs))
     if cfg.get("format") == "csv" or (cfg.get("output") and

@@ -74,8 +74,8 @@ class GaborSystemSpec:
         # max_window_index reads self.indices, which checks component_indices
         if self.galerkin_dim <= self.max_window_index:
             raise ValueError("galerkin_dim must exceed the largest window index")
-        if self.window_dilation <= 0:
-            raise ValueError("window dilation must be positive")
+        if not 0 < self.window_dilation < math.inf:
+            raise ValueError("window dilation must be finite and positive")
         self.grid()
         enumeration_box(self.summed_lattice, self.radius, self.point_budget)
 
@@ -326,18 +326,6 @@ def gl_predicate(M: LatticeMatrix, d: int) -> bool:
     if d < 0:
         raise ValueError("d must be nonnegative")
     return covolume(M) < 1.0 / (d + 1)
-
-
-def theorem1_predicted_bounds(M: LatticeMatrix, C: float):
-    """Predicted bounds (1 -/+ ||M||/C)^2 / |det M| for a window constant C."""
-    if not (0.0 < C <= 1.0):
-        raise ValueError("C must lie in (0, 1]")
-    r = box_norm(M)
-    if r > C:
-        raise ValueError(
-            f"outside guarantee region: box_norm {r:.6g} exceeds C = {C:.6g}")
-    det = covolume(M)
-    return ((1.0 - r / C) ** 2 / det, (1.0 + r / C) ** 2 / det)
 
 
 # ---------------------------------------------------------------------------

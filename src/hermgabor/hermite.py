@@ -1,4 +1,4 @@
-"""Stable Hermite function evaluation, dilated systems and spectral helpers.
+"""Stable Hermite function evaluation and dilated vector windows.
 
 Hermite functions are evaluated by the normalized three-term recurrence
 
@@ -47,18 +47,21 @@ def eval_hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dilation_scale(a: float) -> float:
+    """|a|; ValueError unless the dilation a is finite and nonzero."""
+    if a == 0 or not math.isfinite(a):
+        raise ValueError("dilation parameter must be finite and nonzero")
+    return abs(a)
+
+
 def dilated_hermite(n: int, a: float, x):
     """h_{n,a}(x) = |a|^(-1/4) h_n(|a|^(-1/2) x)."""
-    if a == 0:
-        raise ValueError("dilation parameter must be nonzero")
-    s = abs(a)
+    s = _dilation_scale(a)
     return s ** (-0.25) * eval_hermite(n, np.asarray(x, dtype=float) / math.sqrt(s))
 
 
 def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
-    if a == 0:
-        raise ValueError("dilation parameter must be nonzero")
-    s = abs(a)
+    s = _dilation_scale(a)
     return s ** (-0.25) * eval_hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
 
 
@@ -124,10 +127,3 @@ def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> 
     a = abs(dilation)
     res = x[1:-1] ** 2 * h[1:-1] - a * a * d2 - a * (2 * n + 1) * h[1:-1]
     return float(np.linalg.norm(res) / np.linalg.norm(h[1:-1]))
-
-
-def dlambda(lam: float) -> int:
-    """Spectral count floor(1/(2|lam|) - 1/2); equals -1 for |lam| > 1."""
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    return int(math.floor(1.0 / (2.0 * abs(lam)) - 0.5))

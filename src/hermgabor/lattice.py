@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,12 +85,10 @@ def covolume(M: LatticeMatrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LatticePointSet:
-    """Finite truncation { Mk : ||Mk||_2 <= cutoff_radius }, lexicographic in k."""
+    """Finite truncation { Mk : ||Mk||_2 <= radius }, lexicographic in k."""
 
     points: np.ndarray  # (n, 2) float, rows (gamma1, gamma2)
     coords: np.ndarray  # (n, 2) int, the generating k
-    cutoff_radius: float
-    generator: LatticeMatrix = field(repr=False)
 
     def __len__(self):
         return self.points.shape[0]
@@ -119,5 +117,4 @@ def enumerate_points(M: LatticeMatrix, radius: float,
     ks = np.column_stack([k1.ravel(), k2.ravel()])
     pts = ks @ A.T
     mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
-    return LatticePointSet(points=pts[mask], coords=ks[mask],
-                           cutoff_radius=float(radius), generator=M)
+    return LatticePointSet(points=pts[mask], coords=ks[mask])

@@ -165,7 +165,7 @@ def test_criterion_07_reproducing_identity():
         n = math.ceil(9.0 / step)
         region = hg.Region(x_half=n * step, xi_half=n * step,
                            x_step=step, xi_step=step)
-        F = hg.ambiguity(w, region).field
+        F = hg.ambiguity(w, region)
         FF = hg.twisted_convolve(F, F)
         errs[step] = float(np.linalg.norm(FF.values - F.values)
                            / np.linalg.norm(F.values))

@@ -206,6 +206,13 @@ REJECTED = [
     ("hermite --n -1", 2, "nonnegative"),
     ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation 0", 2, "dilation"),
     ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation -1", 2, "dilation"),
+    # non-finite parameters: a traceback, an answer of NaN, or a message
+    # about float conversion before
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation inf", 2, "finite"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation nan", 2, "finite"),
+    ("hermite --n 0 --dilation nan", 2, "finite"),
+    ("hermite --n 0 --x 0,inf", 2, "finite"),
+    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step inf", 2, "finite"),
     ("bounds --d 0 --matrix 0.5,0,0,0.5 --config {cfg}", 2, "invalid values"),
     ("scan --d 0 --t-list 0.4,0.5", 2, "descending"),
     ("bounds --d 0", 2, "requires --matrix"),

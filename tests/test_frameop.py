@@ -8,7 +8,7 @@ from hermgabor import (BudgetError, CapacityError, FrameBounds,
                        GaborSystemSpec, LatticeMatrix,
                        assemble_frame_matrix, bounds_from_json, bounds_to_json,
                        component_bound_aggregate, frame_bounds, gl_predicate,
-                       is_frame, theorem1_predicted_bounds)
+                       is_frame)
 from hermgabor import frameop
 
 from _oracles import direct_frame_matrix
@@ -191,8 +191,9 @@ def test_adjoint_lattice():
 def test_spec_validation():
     with pytest.raises(ValueError):
         make_spec(d=5, K=4)
-    with pytest.raises(ValueError):
-        make_spec(window_dilation=-1.0)
+    for a in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_spec(window_dilation=a)
     with pytest.raises(CapacityError, match="Nyquist"):
         make_spec(K=64, window_dilation=0.1)
     # the budget bounds the box of the summed lattice: a dense lattice's
@@ -240,18 +241,6 @@ def test_gl_predicate():
     assert gl_predicate(LatticeMatrix(0.9, 0, 0, 0.9), 0)
     with pytest.raises(ValueError):
         gl_predicate(LatticeMatrix(1, 0, 0, 1), -1)
-
-
-def test_theorem1_predicted_bounds_arithmetic():
-    M = LatticeMatrix(0.5, 0, 0, 0.5)
-    A, B = theorem1_predicted_bounds(M, 1.0)
-    r = 0.5 * math.sqrt(2) / 2
-    assert A == pytest.approx((1 - r) ** 2 / 0.25, rel=1e-14)
-    assert B == pytest.approx((1 + r) ** 2 / 0.25, rel=1e-14)
-    with pytest.raises(ValueError):
-        theorem1_predicted_bounds(LatticeMatrix(2, 0, 0, 2), 0.5)
-    with pytest.raises(ValueError):
-        theorem1_predicted_bounds(M, 1.5)
 
 
 def test_bounds_json_roundtrip():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hermgabor import (CapacityError, GridSpec, dilated_hermite, dlambda,
-                       eval_hermite, eval_hermite_all, hermite_operator_residual,
-                       hermite_window, window_from_indices)
+from hermgabor import (CapacityError, GridSpec, dilated_hermite,
+                       dilated_hermite_all, eval_hermite, eval_hermite_all,
+                       hermite_operator_residual, hermite_window,
+                       window_from_indices)
 
 
 def rodrigues_oracle(n):
@@ -92,8 +91,14 @@ def test_invalid_arguments():
     grid = GridSpec.build(max_index=0)
     with pytest.raises(ValueError):
         eval_hermite(-1, 0.0)
-    with pytest.raises(ValueError):
-        dilated_hermite(0, 0.0, 1.0)
+    for a in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="dilation"):
+            dilated_hermite(0, a, 1.0)
+        with pytest.raises(ValueError, match="dilation"):
+            dilated_hermite_all(2, a, grid.points)
+    # an infinite dilation fails the grid's support check first
+    with pytest.raises(ValueError, match="dilation"):
+        window_from_indices((0,), grid, math.nan)
     with pytest.raises(ValueError):
         window_from_indices((), grid)
     with pytest.raises(ValueError, match="integers"):
@@ -101,21 +106,3 @@ def test_invalid_arguments():
     assert window_from_indices(np.arange(2), grid).indices == (0, 1)
     with pytest.raises(CapacityError):
         grid.check_support(400)
-
-
-def test_dlambda_anchors():
-    assert dlambda(0.5) == 0
-    assert dlambda(0.1) == 4
-    assert dlambda(1.1) == -1
-    assert dlambda(-1.0 / 7.0) == 3  # exact threshold |lam| = 1/(2d+1)
-    with pytest.raises(ValueError):
-        dlambda(0.0)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.floats(min_value=1e-6, max_value=100.0,
-                 allow_nan=False, allow_infinity=False))
-def test_dlambda_characterization(lam):
-    d = dlambda(lam)
-    assert (2 * d + 1) * lam <= 1.0 + 1e-12
-    assert (2 * d + 3) * lam > 1.0 - 1e-12

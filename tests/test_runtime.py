@@ -29,7 +29,7 @@ cert = certificate(certification_window(0), LatticeMatrix(0.1, 0, 0, 0.1))
 assert cert.valid
 
 F = ambiguity(certification_window(0),
-              Region(x_half=9.0, xi_half=9.0, x_step=0.125, xi_step=0.125)).field
+              Region(x_half=9.0, xi_half=9.0, x_step=0.125, xi_step=0.125))
 FF = twisted_convolve(F, F)
 assert np.linalg.norm(FF.values - F.values) < 1e-2 * np.linalg.norm(F.values)
 
