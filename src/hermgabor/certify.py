@@ -43,9 +43,7 @@ def certification_grid(d: int, region: Region = None) -> GridSpec:
     if region is None:
         region = default_region(d)
     half = region.x_half + math.sqrt(2 * d + 1) + 8.0
-    count = int(math.ceil(2.0 * half / DEFAULT_STEP))
-    grid = GridSpec(half_width=count * DEFAULT_STEP / 2.0, step=DEFAULT_STEP,
-                    count=count)
+    grid = GridSpec(step=DEFAULT_STEP, count=int(math.ceil(2.0 * half / DEFAULT_STEP)))
     grid.check_nyquist(region.xi_half, d)
     return grid
 
@@ -145,8 +143,7 @@ def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
         conv = np.fft.ifft(Uhat * Fsh, axis=0)[ic:ic + nx, :]
         out += np.exp(1j * math.pi * xi[j] * x)[:, None] * conv
     out *= hx * hxi
-    return SampledField(x_axis=x.copy(), xi_axis=xi.copy(), values=out,
-                        flags=("boundary_ring",))
+    return SampledField(x_axis=x.copy(), xi_axis=xi.copy(), values=out)
 
 
 def _disc_rows(hx: float, hxi: float, r: float) -> list:
@@ -239,12 +236,12 @@ class Certificate:
             raise ValueError("valid certificate must satisfy 0 < A_cert <= B_cert")
 
 
-def _check_orthonormal(w: VectorWindow, tol: float = 1e-8) -> None:
-    comps = np.vstack(w.components)
-    gram = w.grid.step * (comps @ comps.T)
-    if np.max(np.abs(gram - np.eye(len(w.components)))) > tol:
+def _check_orthonormal(w: VectorWindow) -> None:
+    """h_{n,a} with distinct n are orthonormal; a repeated n is not."""
+    if len(set(w.indices)) < len(w.indices):
         raise PreconditionError(
-            "window components are not orthonormal within 1e-8")
+            f"window components are not orthonormal: repeated Hermite "
+            f"index in {w.indices}")
 
 
 def _tv_estimate(F: SampledField) -> float:

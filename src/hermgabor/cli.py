@@ -53,11 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--output", help="output file (JSON or CSV)")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed for harness use (core math is "
-                            "deterministic); default 0")
+        p.add_argument("--output", help="output file")
         p.add_argument("--validate-only", action="store_true",
                        help="build every input the run builds and report "
                             "its first error, without running")
@@ -66,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--x", default=None, help="comma-separated abscissae")
     p.add_argument("--dilation", type=float, default=None)
+    p.add_argument("--format", choices=["json", "csv"], default=None)
     common(p)
 
     p = sub.add_parser("norm", help="box norm of a lattice matrix")
@@ -158,7 +155,6 @@ def merge_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
-    cfg.setdefault("seed", 0)
     return cfg
 
 
@@ -227,8 +223,8 @@ def _prepare_hermite(cfg: dict):
 
 
 def _prepare_norm(cfg: dict):
-    M = _matrix(cfg)
-    return lambda: print(f"{box_norm(M):.16g}")
+    norm = box_norm(_matrix(cfg))
+    return lambda: _emit(cfg, f"{norm:.16g}\n", f"box norm {norm:.6g}")
 
 
 def _prepare_bounds(cfg: dict):
@@ -341,7 +337,6 @@ def main(argv=None) -> int:
             diags = validate(cfg)
             print(diags[0] if diags else "ok")
             return 2 if diags else 0
-        np.random.seed(cfg["seed"])
         prepare(cfg)()
         return 0
     except REQUEST_ERRORS as exc:

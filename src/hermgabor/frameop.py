@@ -29,6 +29,8 @@ DEFAULT_GALERKIN_DIM = 64
 REFUTATION_GALERKIN_DIM = 128
 TRUNCATION_MARGIN = 10.0
 CONVERGENCE_REL_TOL = 0.05
+# is_frame's threshold on A/B: 'frame' above it, 'not_frame' below a tenth
+FRAME_RATIO_TOL = 1e-3
 TWO_PI = 2.0 * math.pi
 # window rows projected per chunk on the adjoint side (K per dual point)
 ADJOINT_CHUNK_ROWS = 512
@@ -271,27 +273,25 @@ def frame_bounds(spec: GaborSystemSpec, check_convergence: bool = True) -> Frame
                        converged=converged, tail_bound=tail_sq)
 
 
-def is_frame(spec: GaborSystemSpec, tol: float = 1e-3) -> str:
+def is_frame(spec: GaborSystemSpec) -> str:
     """Numerical tri-state frame decision: 'frame', 'not_frame' or 'inconclusive'.
 
     Candidate refutations at small K are re-run at K=128. Either verdict
     needs convergence against the nested K/2 compression read off the same
     matrix, where A_K <= A_{K/2} and B_K >= B_{K/2} by interlacing.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
     S, _ = _assemble(spec)
     A, B = _extremal(S)
     ratio = A / B if B > 0 else 0.0
-    if ratio < tol and spec.galerkin_dim < REFUTATION_GALERKIN_DIM:
+    if ratio < FRAME_RATIO_TOL and spec.galerkin_dim < REFUTATION_GALERKIN_DIM:
         spec = spec.with_dim(REFUTATION_GALERKIN_DIM)
         S, _ = _assemble(spec)
         A, B = _extremal(S)
         ratio = A / B if B > 0 else 0.0
     converged = _converged(S, spec, A, B)
-    if converged and ratio > tol:
+    if converged and ratio > FRAME_RATIO_TOL:
         return "frame"
-    if converged and ratio < tol / 10.0:
+    if converged and ratio < FRAME_RATIO_TOL / 10.0:
         return "not_frame"
     return "inconclusive"
 

@@ -18,21 +18,34 @@ BUILD_PAD = 8.0
 MIN_HALF_WIDTH = 12.0
 
 
+def dilation_scale(a: float) -> float:
+    """|a|; ValueError unless the dilation a is finite and nonzero."""
+    if a == 0 or not math.isfinite(a):
+        raise ValueError("dilation parameter must be finite and nonzero")
+    return abs(a)
+
+
+def _checked_step(step: float) -> float:
+    if not 0 < step < math.inf:
+        raise ValueError("grid step must be finite and positive")
+    return step
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid covering [-X, X) with points x_j = -X + j*step, j = 0..count-1."""
+    """Grid of ``count`` points x_j = -X + j*step covering [-X, X), X = count*step/2."""
 
-    half_width: float
     step: float
     count: int
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        _checked_step(self.step)
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
-        if abs(self.half_width - self.count * self.step / 2.0) > 1e-12 * max(1.0, self.half_width):
-            raise ValueError("half_width must equal count*step/2")
+
+    @property
+    def half_width(self) -> float:
+        return self.count * self.step / 2.0
 
     @property
     def points(self) -> np.ndarray:
@@ -48,24 +61,23 @@ class GridSpec:
         """
         if max_index < 0:
             raise ValueError("max_index must be nonnegative")
-        root_a = math.sqrt(abs(dilation))
+        root_a = math.sqrt(dilation_scale(dilation))
         half = max(math.sqrt(2 * max_index + 1) * root_a + BUILD_PAD, MIN_HALF_WIDTH)
-        count = int(math.ceil(2.0 * half / step))
-        half = count * step / 2.0
-        grid = cls(half_width=half, step=step, count=count)
+        grid = cls(step=step, count=int(math.ceil(2.0 * half / _checked_step(step))))
         grid.check_nyquist(max_modulation, max_index, dilation)
         return grid
 
     def check_nyquist(self, max_modulation: float, max_index: int,
                       dilation: float = 1.0) -> None:
-        band = math.sqrt(2 * max_index + 1) / (2.0 * math.pi * math.sqrt(abs(dilation)))
+        root_a = math.sqrt(dilation_scale(dilation))
+        band = math.sqrt(2 * max_index + 1) / (2.0 * math.pi * root_a)
         if 1.0 / (2.0 * self.step) < max_modulation + band + 1.0:
             raise CapacityError(
                 f"Nyquist guard violated: 1/(2*{self.step}) < "
                 f"{max_modulation} + {band:.4f} + 1")
 
     def check_support(self, max_index: int, dilation: float = 1.0) -> None:
-        need = math.sqrt(2 * max_index + 1) * math.sqrt(abs(dilation)) + SUPPORT_PAD
+        need = math.sqrt(2 * max_index + 1) * math.sqrt(dilation_scale(dilation)) + SUPPORT_PAD
         if need > self.half_width:
             raise CapacityError(
                 f"Hermite index {max_index} (dilation {dilation}) needs half_width "

@@ -17,26 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, dilation_scale
 
 
 def eval_hermite(n: int, x):
-    """h_n(x); ``x`` may be a scalar or an array."""
-    if n < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = math.sqrt(2.0) * x * h_prev
-    for k in range(1, n):
-        h_next = math.sqrt(2.0 / (k + 1)) * x * h_cur - math.sqrt(k / (k + 1.0)) * h_prev
-        h_prev, h_cur = h_cur, h_next
-    return h_cur if h_cur.ndim else float(h_cur)
+    """h_n(x), row n of ``eval_hermite_all``; ``x`` may be a scalar or an array."""
+    return _row(eval_hermite_all(n, x), n)
 
 
 def eval_hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Stack h_0..h_{n_max} evaluated at ``x``; shape (n_max+1, len(x))."""
+    """Stack h_0..h_{n_max} evaluated at ``x``; shape (n_max+1,) + x.shape."""
+    if n_max < 0:
+        raise ValueError("Hermite index must be nonnegative")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
@@ -47,32 +39,28 @@ def eval_hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dilation_scale(a: float) -> float:
-    """|a|; ValueError unless the dilation a is finite and nonzero."""
-    if a == 0 or not math.isfinite(a):
-        raise ValueError("dilation parameter must be finite and nonzero")
-    return abs(a)
+def _row(table: np.ndarray, n: int):
+    return table[n] if table.ndim > 1 else float(table[n])
 
 
 def dilated_hermite(n: int, a: float, x):
-    """h_{n,a}(x) = |a|^(-1/4) h_n(|a|^(-1/2) x)."""
-    s = _dilation_scale(a)
-    return s ** (-0.25) * eval_hermite(n, np.asarray(x, dtype=float) / math.sqrt(s))
+    """h_{n,a}(x) = |a|^(-1/4) h_n(|a|^(-1/2) x), row n of ``dilated_hermite_all``."""
+    return _row(dilated_hermite_all(n, a, x), n)
 
 
 def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
-    s = _dilation_scale(a)
+    s = dilation_scale(a)
     return s ** (-0.25) * eval_hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VectorWindow:
-    """Sampled vector window; component i is h_{indices[i], dilation} on ``grid``."""
+    """Vector window whose component i is h_{indices[i], dilation}, on a
+    ``grid`` that holds its support."""
 
     grid: GridSpec
     indices: tuple
     dilation: float
-    components: tuple  # real sample arrays, one per index
 
     @property
     def degree(self) -> int:
@@ -100,17 +88,14 @@ def hermite_indices(indices) -> tuple:
 def window_from_indices(indices, grid: GridSpec, dilation: float = 1.0) -> VectorWindow:
     indices = hermite_indices(indices)
     grid.check_support(max(indices), dilation)
-    x = grid.points
-    table = dilated_hermite_all(max(indices), dilation, x)
-    comps = tuple(table[i].copy() for i in indices)
-    return VectorWindow(grid=grid, indices=indices, dilation=dilation, components=comps)
+    return VectorWindow(grid=grid, indices=indices, dilation=dilation)
 
 
-def hermite_window(d: int, grid: GridSpec, dilation: float = 1.0) -> VectorWindow:
-    """The vector window (h_0, ..., h_d) sampled on ``grid``."""
+def hermite_window(d: int, grid: GridSpec) -> VectorWindow:
+    """The vector window (h_0, ..., h_d) on ``grid``."""
     if d < 0:
         raise ValueError("window degree must be nonnegative")
-    return window_from_indices(range(d + 1), grid, dilation)
+    return window_from_indices(range(d + 1), grid)
 
 
 def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import PreconditionError
 from .frameop import FrameBounds, GaborSystemSpec, frame_bounds
@@ -66,8 +65,7 @@ def _c_emp(A_est: float, M: LatticeMatrix) -> float:
 
 
 def scan_ladder(M0: LatticeMatrix, d: int, t_list=None,
-                galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM,
-                component_indices: Optional[tuple] = None):
+                galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM):
     """(t, spec of (h^d, t*M0)) for each t, every spec built before any is
     run; t_list must be descending."""
     if t_list is None:
@@ -78,8 +76,7 @@ def scan_ladder(M0: LatticeMatrix, d: int, t_list=None,
     if any(a <= b for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be sorted descending")
     return [(t, GaborSystemSpec(window_degree=d, matrix=M0.scaled(t),
-                                galerkin_dim=galerkin_dim,
-                                component_indices=component_indices))
+                                galerkin_dim=galerkin_dim))
             for t in t_list]
 
 
@@ -98,11 +95,9 @@ def scan_records(ladder):
 
 
 def tightness_scan(M0: LatticeMatrix, d: int, t_list=None,
-                   galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM,
-                   component_indices: Optional[tuple] = None):
+                   galerkin_dim: int = DEFAULT_SCAN_GALERKIN_DIM):
     """Frame bounds of (h^d, t*M0) for each t; t_list must be descending."""
-    return scan_records(scan_ladder(M0, d, t_list, galerkin_dim,
-                                    component_indices))
+    return scan_records(scan_ladder(M0, d, t_list, galerkin_dim))
 
 
 def estimate_cstar(records) -> CEstimate:

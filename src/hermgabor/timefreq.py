@@ -12,7 +12,7 @@ Phase convention: T_x M_xi w(t) = exp(2*pi*i*xi*(t - x)) * w(t - x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class SampledField:
     x_axis: np.ndarray
     xi_axis: np.ndarray
     values: np.ndarray
-    flags: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.values.shape != (self.x_axis.size, self.xi_axis.size):
@@ -114,16 +113,16 @@ def stft(window: VectorWindow, region: Region) -> SampledField:
     x_axis = region.x_axis
     xi_axis = region.xi_axis
     t = grid.points
+    n, a, rows = max(window.indices), window.dilation, list(window.indices)
     B = np.exp(-1j * TWO_PI * np.outer(xi_axis, t))  # (n_xi, N)
     out = np.empty((x_axis.size, xi_axis.size), dtype=complex)
-    wstack = np.vstack(window.components)  # (c, N)
+    wstack = dilated_hermite_all(n, a, t)[rows]  # (c, N)
     chunk = 64
     for start in range(0, x_axis.size, chunk):
         xs = x_axis[start:start + chunk]
         U = np.empty((t.size, xs.size), dtype=complex)
         for j, xv in enumerate(xs):
-            table = dilated_hermite_all(max(window.indices), window.dilation, t - xv)
-            wshift = table[list(window.indices)]
+            wshift = dilated_hermite_all(n, a, t - xv)[rows]
             U[:, j] = np.einsum("cn,cn->n", wstack, wshift)
         block = (B @ U).T  # (chunk, n_xi)
         block *= np.exp(1j * TWO_PI * np.outer(xs, xi_axis))

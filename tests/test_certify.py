@@ -7,7 +7,8 @@ from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, ambiguity, box_norm, certificate,
                        certificate_from_json, certificate_to_json,
-                       certification_window, default_region, frame_bounds,
+                       certification_grid, certification_window,
+                       default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft, twisted_convolve,
                        window_from_indices)
 from hermgabor.certify import BOUNDARY_DECAY_TOL
@@ -53,7 +54,7 @@ def test_ambiguity_closed_form_matches_stft(indices, dilation):
     region = default_region(n, step=1 / 8)
     half = region.x_half + math.sqrt((2 * n + 1) * dilation) + 8.0
     count = math.ceil(64 * half)
-    grid = GridSpec(half_width=count / 64, step=1 / 32, count=count)
+    grid = GridSpec(step=1 / 32, count=count)
     w = window_from_indices(indices, grid, dilation)
     F = ambiguity(w, region).values
     V = stft(w, region)
@@ -210,11 +211,36 @@ def test_certificate_disc_wider_than_the_region():
 
 
 def test_certificate_requires_orthonormal_components():
-    from hermgabor import window_from_indices, certification_grid
-    grid = certification_grid(0)
-    w = window_from_indices((0, 0), grid)
-    with pytest.raises(PreconditionError):
-        certificate(w, LatticeMatrix(0.1, 0, 0, 0.1))
+    M = LatticeMatrix(0.1, 0, 0, 0.1)
+    for indices in ((0, 0), (2, 0, 2)):
+        w = window_from_indices(indices, certification_grid(max(indices)))
+        with pytest.raises(PreconditionError, match="orthonormal"):
+            certificate(w, M)
+    # distinct indices at any dilation are orthonormal; the region holds
+    # the ambiguity function of h_{3,2}, which is wider in x than h_3's
+    region = Region(x_half=16.0, xi_half=2.0, x_step=1 / 16, xi_step=1 / 16)
+    w = window_from_indices((1, 3), certification_grid(3, region), 2.0)
+    assert certificate(w, M, region).window_degree == 1
+
+
+@pytest.mark.parametrize("indices", [tuple(range(d + 1)) for d in (0, 5, 18, 40)]
+                         + [(0, 0), (2, 0, 2)])
+def test_orthonormality_check_agrees_with_quadrature(indices):
+    # the certificate checks orthonormality from the indices alone; the
+    # quadrature Gram matrix of the sampled window (a certification window
+    # for the distinct indices) is the oracle
+    n = max(indices)
+    w = window_from_indices(indices, certification_grid(n))
+    table = dilated_hermite_all(n, w.dilation, w.grid.points)[list(indices)]
+    gram = w.grid.step * (table @ table.T)
+    orthonormal = np.max(np.abs(gram - np.eye(len(indices)))) <= 1e-12
+    assert orthonormal == (len(set(indices)) == len(indices))
+    try:
+        certificate(w, LatticeMatrix(1, 0, 0, 1))
+    except PreconditionError as exc:
+        assert not orthonormal and "orthonormal" in str(exc)
+    else:
+        assert orthonormal
 
 
 def test_certificate_json_roundtrip():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hermgabor import bounds_from_json, certificate_from_json
-from hermgabor.cli import main, merge_config, validate
+from hermgabor.cli import main, validate
 from hermgabor.scan import SCAN_CSV_HEADER
 
 
@@ -17,6 +17,15 @@ def test_norm_prints_box_norm(capsys):
     code, out, _ = run(capsys, "norm", "--matrix", "1,0,0,1")
     assert code == 0
     assert out.strip() == "0.7071067811865476"
+
+
+def test_norm_output_file(tmp_path, capsys):
+    out_file = tmp_path / "norm.txt"
+    code, out, _ = run(capsys, "norm", "--matrix", "1,0,0,1",
+                       "--output", str(out_file))
+    assert code == 0
+    assert out_file.read_text() == "0.7071067811865476\n"
+    assert out == f"box norm 0.707107 -> {out_file}\n"
 
 
 def test_norm_bad_matrix_exits_2(capsys):
@@ -143,18 +152,24 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 def test_config_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for field in ("matrxi", "step", "half_width", "truncation_radius",
-                  "region_half"):
+                  "region_half", "seed"):
         cfg.write_text(json.dumps({field: "1,0,0,1"}))
         code, _, err = run(capsys, "norm", "--config", str(cfg))
         assert code == 2 and "unknown config fields" in err
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    # the truncation radius and the certificate region follow from the request
+    # the truncation radius and the certificate region follow from the
+    # request; no command draws a random number, and only hermite has two
+    # output formats
     for argv in (("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5",
                   "--truncation-radius", "0.36"),
                  ("certify", "--d", "0", "--matrix", "0.5,0,0,0.5",
-                  "--region-half", "0.2")):
+                  "--region-half", "0.2"),
+                 ("norm", "--matrix", "1,0,0,1", "--seed", "1"),
+                 ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5",
+                  "--format", "csv"),
+                 ("scan", "--d", "0", "--t-list", "0.5", "--format", "json")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -260,12 +275,3 @@ def test_output_dir_env(tmp_path, monkeypatch, capsys):
                      "--format", "json", "--output", "h.json")
     assert code == 0
     assert (tmp_path / "h.json").exists()
-
-
-def test_merge_config_seed_default():
-    class Dummy:
-        command = "norm"
-        matrix = "1,0,0,1"
-        config = None
-    cfg = merge_config(Dummy())
-    assert cfg["seed"] == 0

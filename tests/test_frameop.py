@@ -217,11 +217,6 @@ def test_is_frame_positive_case():
     assert is_frame(make_spec(t=0.25, K=32)) == "frame"
 
 
-def test_is_frame_tol_validation():
-    with pytest.raises(ValueError):
-        is_frame(make_spec(), tol=2.0)
-
-
 def test_component_bracketing():
     spec = make_spec(d=1, t=0.5, K=16)
     agg = component_bound_aggregate(spec)

@@ -31,6 +31,7 @@ def test_scalar_input_returns_float():
     assert isinstance(v, float)
     # h_2(0) = -pi^{-1/4}/sqrt(2)
     assert v == pytest.approx(-np.pi ** (-0.25) / math.sqrt(2), abs=1e-14)
+    assert isinstance(dilated_hermite(2, 0.5, 0.0), float)
 
 
 def test_eval_all_consistent_with_single():
@@ -78,13 +79,15 @@ def test_window_construction():
     grid = GridSpec.build(max_index=3)
     w = hermite_window(3, grid)
     assert w.degree == 3 and w.n_components == 4
-    np.testing.assert_allclose(w.components[2], eval_hermite(2, grid.points))
+    assert (w.grid, w.indices, w.dilation) == (grid, (0, 1, 2, 3), 1.0)
+    # frozen and hashable: equal windows are one key
+    assert {w: 1}[window_from_indices(range(4), grid)] == 1
 
 
 def test_window_duplicate_indices_allowed():
     grid = GridSpec.build(max_index=0)
     w = window_from_indices((0, 0), grid)
-    np.testing.assert_allclose(w.components[0], w.components[1])
+    assert w.indices == (0, 0) and w.n_components == 2
 
 
 def test_invalid_arguments():
@@ -96,9 +99,10 @@ def test_invalid_arguments():
             dilated_hermite(0, a, 1.0)
         with pytest.raises(ValueError, match="dilation"):
             dilated_hermite_all(2, a, grid.points)
-    # an infinite dilation fails the grid's support check first
-    with pytest.raises(ValueError, match="dilation"):
-        window_from_indices((0,), grid, math.nan)
+    # the grid's support check rejects the dilation before any use of it
+    for a in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dilation"):
+            window_from_indices((0,), grid, a)
     with pytest.raises(ValueError):
         window_from_indices((), grid)
     with pytest.raises(ValueError, match="integers"):
@@ -106,3 +110,11 @@ def test_invalid_arguments():
     assert window_from_indices(np.arange(2), grid).indices == (0, 1)
     with pytest.raises(CapacityError):
         grid.check_support(400)
+    for a in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec.build(0, dilation=a)
+    for step in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec.build(0, step=step)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(step=step, count=2)
