@@ -9,8 +9,7 @@ from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
                      PreconditionError, ResolutionError)
 from .grid import DEFAULT_STEP, GridSpec
 from .hermite import (VectorWindow, dilated_hermite, dilated_hermite_all,
-                      eval_hermite, eval_hermite_all, hermite_operator_residual,
-                      hermite_window, window_from_indices)
+                      hermite_operator_residual, window_from_indices)
 from .lattice import (LatticeMatrix, LatticePointSet, box_norm, covolume,
                       enumerate_points)
 from .timefreq import Region, SampledField, default_region, stft
@@ -22,9 +21,9 @@ from .certify import (Certificate, ambiguity, certificate,
                       certificate_from_json, certificate_to_json,
                       certification_grid, certification_window, osc_l1,
                       oscillation, twisted_convolve)
-from .scan import (CEstimate, ScanRecord, SqrtLawRow,
-                   dilation_covariance_check, estimate_cstar, records_to_csv,
-                   sqrt_law_probe, tightness_scan)
+from .scan import (ScanRecord, SqrtLawRow, dilation_covariance_check,
+                   estimate_cstar, records_to_csv, sqrt_law_probe,
+                   tightness_scan)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "PreconditionError", "ResolutionError",
     "DEFAULT_STEP", "GridSpec",
     "VectorWindow", "dilated_hermite", "dilated_hermite_all",
-    "eval_hermite", "eval_hermite_all", "hermite_operator_residual",
-    "hermite_window", "window_from_indices",
+    "hermite_operator_residual", "window_from_indices",
     "LatticeMatrix", "LatticePointSet", "box_norm", "covolume",
     "enumerate_points",
     "Region", "SampledField", "default_region", "stft",
@@ -44,7 +42,7 @@ __all__ = [
     "Certificate", "ambiguity", "certificate", "certificate_from_json",
     "certificate_to_json", "certification_grid", "certification_window",
     "osc_l1", "oscillation", "twisted_convolve",
-    "CEstimate", "ScanRecord", "SqrtLawRow", "dilation_covariance_check",
+    "ScanRecord", "SqrtLawRow", "dilation_covariance_check",
     "estimate_cstar", "records_to_csv", "sqrt_law_probe", "tightness_scan",
     "__version__",
 ]

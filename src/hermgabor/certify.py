@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError, ResolutionError
 from .grid import DEFAULT_STEP, GridSpec
-from .hermite import VectorWindow, hermite_window
+from .hermite import VectorWindow, window_from_indices
 from .lattice import LatticeMatrix, box_norm, covolume
 from .timefreq import (TWO_PI, Region, SampledField, check_region_capacity,
                        default_region)
@@ -50,7 +50,7 @@ def certification_grid(d: int, region: Region = None) -> GridSpec:
 
 def certification_window(d: int, region: Region = None) -> VectorWindow:
     """The window (h_0,...,h_d) on a grid sized by ``certification_grid``."""
-    return hermite_window(d, certification_grid(d, region))
+    return window_from_indices(range(d + 1), certification_grid(d, region))
 
 
 def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
@@ -222,18 +222,26 @@ class Certificate:
     (2 * step * TV(F) / |det M|); it is not folded into the bounds.
     """
 
-    radius: float
     ratio: float
-    A_cert: float
-    B_cert: float
-    valid: bool
     matrix: LatticeMatrix
     window_degree: int
     eps_disc: float
 
-    def __post_init__(self):
-        if self.valid and not (0.0 < self.A_cert <= self.B_cert):
-            raise ValueError("valid certificate must satisfy 0 < A_cert <= B_cert")
+    @property
+    def radius(self) -> float:
+        return box_norm(self.matrix)
+
+    @property
+    def valid(self) -> bool:
+        return self.ratio < 1.0
+
+    @property
+    def A_cert(self) -> float:
+        return (1.0 - self.ratio) ** 2 / covolume(self.matrix) if self.valid else 0.0
+
+    @property
+    def B_cert(self) -> float:
+        return (1.0 + self.ratio) ** 2 / covolume(self.matrix)
 
 
 def _check_orthonormal(w: VectorWindow) -> None:
@@ -263,13 +271,8 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     F = ambiguity(w, region)
     _check_boundary_decay(F, "ambiguity function")
     R = osc_l1(F, r)
-    det = covolume(M)
-    valid = R < 1.0
-    A = (1.0 - R) ** 2 / det if valid else 0.0
-    B = (1.0 + R) ** 2 / det
-    eps = 2.0 * F.x_step * _tv_estimate(F) / det
-    return Certificate(radius=r, ratio=R, A_cert=A, B_cert=B, valid=valid,
-                       matrix=M, window_degree=w.degree, eps_disc=eps)
+    eps = 2.0 * F.x_step * _tv_estimate(F) / covolume(M)
+    return Certificate(ratio=R, matrix=M, window_degree=w.degree, eps_disc=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +296,14 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate of the record's R, matrix, d and eps_disc; ValueError
+    when the record's other fields disagree with it."""
     record = json.loads(text)
-    return Certificate(radius=record["r"], ratio=record["R"],
-                       A_cert=record["A_cert"], B_cert=record["B_cert"],
-                       valid=record["valid"],
+    cert = Certificate(ratio=record["R"],
                        matrix=LatticeMatrix.from_array(record["matrix"]),
                        window_degree=record["d"], eps_disc=record["eps_disc"])
+    rebuilt = json.loads(certificate_to_json(cert))
+    wrong = sorted(k for k, v in rebuilt.items() if record.get(k) != v)
+    if wrong:
+        raise ValueError(f"certificate fields disagree with R and the matrix: {wrong}")
+    return cert

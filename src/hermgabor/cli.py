@@ -44,90 +44,69 @@ def _parse_floats(text):
     return [float(p) for p in text.split(",")]
 
 
+# every flag a config file may set: field -> (type, or the tuple of its
+# choices; help). The flag is --field, with "_" written "-".
+FLAGS = {
+    "n": (int, "Hermite index"),
+    "x": (str, "comma-separated abscissae"),
+    "dilation": (float, "window dilation a"),
+    "format": (("json", "csv"), "output format"),
+    "matrix": (str, 'lattice matrix, row-major "a,b,c,d"'),
+    "d": (int, "window degree: the window is (h_0, ..., h_d)"),
+    "K": (int, "Galerkin test dimension per component"),
+    "budget": (int, "point budget of the lattice enumeration box"),
+    "region_step": (float, "sampling step of the certificate region"),
+    "t_list": (str, "descending comma-separated scales"),
+    "det_max": (float, "largest determinant of the ladder"),
+    "steps": (int, "number of determinants in the ladder"),
+    "b": (float, "dilation b of the transported system"),
+    "output": (str, "output file"),
+}
+CONFIG_FIELDS = ("command",) + tuple(FLAGS)
+
+# command -> (help, its flags besides --output)
+COMMANDS = {
+    "hermite": ("evaluate a Hermite function", ("n", "x", "dilation", "format")),
+    "norm": ("box norm of a lattice matrix", ("matrix",)),
+    "bounds": ("Galerkin frame-bound estimates",
+               ("d", "matrix", "K", "dilation", "budget")),
+    "certify": ("oscillation frame certificate", ("d", "matrix", "region_step")),
+    "scan": ("tightness scan over a scaling ladder", ("d", "matrix", "t_list", "K")),
+    "glgrid": ("determinant ladder for the |det| < 1/(d+1) frame criterion",
+               ("d", "det_max", "steps")),
+    "covariance": ("dilation-covariance deviation of the bounds",
+                   ("d", "matrix", "b", "K")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermgabor",
         description="Frame-bound estimation, oscillation certificates and "
                     "tightness scans for Hermite Gabor systems on lattices.")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    for command, (summary, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for field in fields + ("output",):
+            kind, help_text = FLAGS[field]
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + field.replace("_", "-"), dest=field,
+                           help=help_text, **typed)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--output", help="output file")
         p.add_argument("--validate-only", action="store_true",
                        help="build every input the run builds and report "
                             "its first error, without running")
-
-    p = sub.add_parser("hermite", help="evaluate a Hermite function")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x", default=None, help="comma-separated abscissae")
-    p.add_argument("--dilation", type=float, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    common(p)
-
-    p = sub.add_parser("norm", help="box norm of a lattice matrix")
-    p.add_argument("--matrix", default=None, help='row-major "a,b,c,d"')
-    common(p)
-
-    p = sub.add_parser("bounds", help="Galerkin frame-bound estimates")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--dilation", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("certify", help="oscillation frame certificate")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--region-step", dest="region_step", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("scan", help="tightness scan over a scaling ladder")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--matrix", default=None, help="base matrix M0")
-    p.add_argument("--t-list", dest="t_list", default=None,
-                   help="descending comma-separated scales")
-    p.add_argument("--K", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("glgrid",
-                       help="determinant ladder for the |det| < 1/(d+1) "
-                            "frame criterion")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--det-max", dest="det_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("covariance",
-                       help="dilation-covariance deviation of the bounds")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    common(p)
-
     return parser
 
 
-def _flags(parser: argparse.ArgumentParser) -> dict:
-    """dest -> action of every subcommand flag a config file may set."""
-    (sub,) = [a for a in parser._actions if a.dest == "command"]
-    return {a.dest: a for p in sub.choices.values() for a in p._actions
-            if a.dest not in ("help", "config", "validate_only")}
-
-
-_FLAGS = _flags(build_parser())
-CONFIG_FIELDS = ("command",) + tuple(_FLAGS)
-
-
-def _accepts(action: argparse.Action, val) -> bool:
-    """Whether a config value fits its flag: the declared type (str when
-    none; an int passes as a float) and the choices."""
-    kind = action.type or str
+def _accepts(field: str, val) -> bool:
+    """Whether a config value fits its flag: one of the choices, or of the
+    declared type (an int passes as a float)."""
+    kind = FLAGS[field][0]
+    if isinstance(kind, tuple):
+        return val in kind
     kinds = (int, float) if kind is float else kind
-    return (isinstance(val, kinds) and not isinstance(val, bool)
-            and (not action.choices or val in action.choices))
+    return isinstance(val, kinds) and not isinstance(val, bool)
 
 
 def merge_config(args: argparse.Namespace) -> dict:
@@ -145,7 +124,7 @@ def merge_config(args: argparse.Namespace) -> dict:
                 f"unknown config fields: {sorted(unknown)}")
         # "command" has no flag: the subcommand given wins
         invalid = [key for key, val in loaded.items()
-                   if key in _FLAGS and not _accepts(_FLAGS[key], val)]
+                   if key in FLAGS and not _accepts(key, val)]
         if invalid:
             raise PreconditionError(
                 f"config fields with invalid values: {sorted(invalid)}")
@@ -210,6 +189,9 @@ def _prepare_hermite(cfg: dict):
     xs = np.array(_parse_floats(cfg.get("x", "0")))
     if not np.isfinite(xs).all():
         raise PreconditionError("hermite needs finite --x values")
+    if (n + 1) * xs.size > DEFAULT_POINT_BUDGET:
+        raise BudgetError(f"hermite table of {n + 1}x{xs.size} values exceeds "
+                          f"point budget {DEFAULT_POINT_BUDGET}")
     a = float(cfg.get("dilation", 1.0))
     vals = np.atleast_1d(dilated_hermite(n, a, xs))
     if cfg.get("format") == "csv" or (cfg.get("output") and

@@ -20,13 +20,7 @@ import numpy as np
 from .grid import GridSpec, dilation_scale
 
 
-def eval_hermite(n: int, x):
-    """h_n(x), row n of ``eval_hermite_all``; ``x`` may be a scalar or an array."""
-    return _row(eval_hermite_all(n, x), n)
-
-
-def eval_hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Stack h_0..h_{n_max} evaluated at ``x``; shape (n_max+1,) + x.shape."""
+def _hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     if n_max < 0:
         raise ValueError("Hermite index must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -39,18 +33,17 @@ def eval_hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row(table: np.ndarray, n: int):
+def dilated_hermite(n: int, a: float, x):
+    """h_{n,a}(x) = |a|^(-1/4) h_n(|a|^(-1/2) x), row n of ``dilated_hermite_all``;
+    ``x`` may be a scalar or an array, and a = 1 gives h_n itself."""
+    table = dilated_hermite_all(n, a, x)
     return table[n] if table.ndim > 1 else float(table[n])
 
 
-def dilated_hermite(n: int, a: float, x):
-    """h_{n,a}(x) = |a|^(-1/4) h_n(|a|^(-1/2) x), row n of ``dilated_hermite_all``."""
-    return _row(dilated_hermite_all(n, a, x), n)
-
-
 def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
+    """Stack h_{0,a}..h_{n_max,a} evaluated at ``x``; shape (n_max+1,) + x.shape."""
     s = dilation_scale(a)
-    return s ** (-0.25) * eval_hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
+    return s ** (-0.25) * _hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
 
 
 @dataclass(frozen=True)
@@ -65,10 +58,6 @@ class VectorWindow:
     @property
     def degree(self) -> int:
         return len(self.indices) - 1
-
-    @property
-    def n_components(self) -> int:
-        return len(self.indices)
 
 
 def hermite_indices(indices) -> tuple:
@@ -89,13 +78,6 @@ def window_from_indices(indices, grid: GridSpec, dilation: float = 1.0) -> Vecto
     indices = hermite_indices(indices)
     grid.check_support(max(indices), dilation)
     return VectorWindow(grid=grid, indices=indices, dilation=dilation)
-
-
-def hermite_window(d: int, grid: GridSpec) -> VectorWindow:
-    """The vector window (h_0, ..., h_d) on ``grid``."""
-    if d < 0:
-        raise ValueError("window degree must be nonnegative")
-    return window_from_indices(range(d + 1), grid)
 
 
 def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> float:

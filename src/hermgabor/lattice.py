@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,10 @@ class LatticeMatrix:
 
     def __post_init__(self):
         for name in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError("lattice matrix entries must be finite")
+            object.__setattr__(self, name, value)
         # |det| / ||M||_F^2 ~ 1/cond(M) is scale-free; 1e-14 is ~100x its rounding error
         frob2 = sum(m * m for m in (self.m11, self.m12, self.m21, self.m22))
         if not abs(self.determinant) > 1e-14 * frob2:
@@ -88,21 +92,23 @@ class LatticePointSet:
     """Finite truncation { Mk : ||Mk||_2 <= radius }, lexicographic in k."""
 
     points: np.ndarray  # (n, 2) float, rows (gamma1, gamma2)
-    coords: np.ndarray  # (n, 2) int, the generating k
 
     def __len__(self):
         return self.points.shape[0]
 
 
 def enumeration_box(M: LatticeMatrix, radius: float,
-                    budget: int = DEFAULT_POINT_BUDGET) -> int:
-    """Half side kmax of the box ||k||_inf <= kmax holding every k with
-    ||Mk||_2 <= radius; BudgetError when it has more than ``budget`` points."""
-    kmax = int(np.ceil(radius * np.linalg.norm(np.linalg.inv(M.as_array()), 2)))
-    side = 2 * kmax + 1
-    if side * side > budget:
-        raise BudgetError(f"enumeration box {side}x{side} exceeds point budget {budget}")
-    return kmax
+                    budget: int = DEFAULT_POINT_BUDGET) -> tuple:
+    """Half sides (k1max, k2max) of the smallest box |k_i| <= k_imax holding
+    every k with ||Mk||_2 <= radius: k_i is row i of M^{-1} applied to a
+    point of norm <= radius, so k_imax = ceil(radius * ||row i of M^{-1}||_2).
+    BudgetError when the box has more than ``budget`` points."""
+    rows = np.linalg.norm(np.linalg.inv(M.as_array()), axis=1)
+    k1max, k2max = (int(np.ceil(radius * n)) for n in rows)
+    side1, side2 = 2 * k1max + 1, 2 * k2max + 1
+    if side1 * side2 > budget:
+        raise BudgetError(f"enumeration box {side1}x{side2} exceeds point budget {budget}")
+    return k1max, k2max
 
 
 def enumerate_points(M: LatticeMatrix, radius: float,
@@ -111,10 +117,9 @@ def enumerate_points(M: LatticeMatrix, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     A = M.as_array()
-    kmax = enumeration_box(M, radius, budget)
-    rng = np.arange(-kmax, kmax + 1)
-    k1, k2 = np.meshgrid(rng, rng, indexing="ij")  # lexicographic when flattened
-    ks = np.column_stack([k1.ravel(), k2.ravel()])
-    pts = ks @ A.T
+    k1max, k2max = enumeration_box(M, radius, budget)
+    k1, k2 = np.meshgrid(np.arange(-k1max, k1max + 1), np.arange(-k2max, k2max + 1),
+                         indexing="ij")  # lexicographic when flattened
+    pts = np.column_stack([k1.ravel(), k2.ravel()]) @ A.T
     mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
-    return LatticePointSet(points=pts[mask], coords=ks[mask])
+    return LatticePointSet(points=pts[mask])

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .frameop import FrameBounds, GaborSystemSpec, frame_bounds
-from .lattice import LatticeMatrix, box_norm, covolume
+from .frameop import GaborSystemSpec, frame_bounds
+from .lattice import LatticeMatrix, box_norm
 
 # dense rungs are summed over the sparse adjoint lattice, so a rung's cost
 # grows with the test dimension rather than with 1/|det M|; a leaner test
@@ -35,33 +35,24 @@ class ScanRecord:
     det: float
     A_est: float
     B_est: float
-    tightness: float
-    C_emp: float  # nan when the record is unusable for inversion
     converged: bool
+
+    @property
+    def tightness(self) -> float:
+        return self.B_est / self.A_est if self.A_est > 0 else math.inf
+
+    @property
+    def C_emp(self) -> float:
+        """box_norm / (1 - sqrt(A_est |det|)); nan when A_est |det| is
+        outside (0, 1), where the record is unusable for inversion."""
+        prod = self.A_est * abs(self.det)
+        if not (0.0 < prod < 1.0):
+            return math.nan
+        return self.box_norm / (1.0 - math.sqrt(prod))
 
     @property
     def usable(self) -> bool:
         return math.isfinite(self.C_emp) and self.C_emp > 0
-
-
-@dataclass(frozen=True)
-class CEstimate:
-    d: int
-    value: float
-    t_range: tuple
-    method: str = "theorem1-inversion"
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("C estimate must be positive")
-
-
-def _c_emp(A_est: float, M: LatticeMatrix) -> float:
-    det = covolume(M)
-    prod = A_est * det
-    if not (0.0 < prod < 1.0):
-        return math.nan
-    return box_norm(M) / (1.0 - math.sqrt(prod))
 
 
 def scan_ladder(M0: LatticeMatrix, d: int, t_list=None,
@@ -85,12 +76,10 @@ def scan_records(ladder):
     records = []
     for t, spec in ladder:
         M = spec.matrix
-        fb: FrameBounds = frame_bounds(spec)
-        tightness = fb.B_est / fb.A_est if fb.A_est > 0 else math.inf
+        fb = frame_bounds(spec)
         records.append(ScanRecord(
             d=spec.window_degree, t=t, box_norm=box_norm(M), det=M.determinant,
-            A_est=fb.A_est, B_est=fb.B_est, tightness=tightness,
-            C_emp=_c_emp(fb.A_est, M), converged=fb.converged))
+            A_est=fb.A_est, B_est=fb.B_est, converged=fb.converged))
     return records
 
 
@@ -100,7 +89,7 @@ def tightness_scan(M0: LatticeMatrix, d: int, t_list=None,
     return scan_records(scan_ladder(M0, d, t_list, galerkin_dim))
 
 
-def estimate_cstar(records) -> CEstimate:
+def estimate_cstar(records) -> float:
     """Smallest per-record inversion constant: the only C consistent with
     every measured lower bound under the predicted shape."""
     usable = [r for r in records if r.usable]
@@ -108,20 +97,23 @@ def estimate_cstar(records) -> CEstimate:
         raise PreconditionError(
             f"need at least 3 usable records (A_est*|det| in (0,1)), "
             f"got {len(usable)}")
-    value = min(r.C_emp for r in usable)
-    ts = [r.t for r in usable]
-    d_vals = {r.d for r in usable}
-    if len(d_vals) != 1:
+    if len({r.d for r in usable}) != 1:
         raise ValueError("records mix window degrees")
-    return CEstimate(d=d_vals.pop(), value=value, t_range=(min(ts), max(ts)))
+    return min(r.C_emp for r in usable)
 
 
 @dataclass(frozen=True)
 class SqrtLawRow:
     d: int
-    c_emp: float
-    scaled: float  # c_emp * sqrt(2d+1)
-    flagged: bool  # True when the estimate could not be formed
+    c_emp: float  # nan when the estimate could not be formed
+
+    @property
+    def scaled(self) -> float:
+        return self.c_emp * math.sqrt(2 * self.d + 1)
+
+    @property
+    def flagged(self) -> bool:
+        return math.isnan(self.c_emp)
 
 
 def sqrt_law_probe(d_list, M0: LatticeMatrix = None, t_list=None,
@@ -137,13 +129,10 @@ def sqrt_law_probe(d_list, M0: LatticeMatrix = None, t_list=None,
     for d in d_list:
         records = tightness_scan(M0, d, t_list, galerkin_dim=galerkin_dim)
         try:
-            est = estimate_cstar(records)
-            rows.append(SqrtLawRow(d=d, c_emp=est.value,
-                                   scaled=est.value * math.sqrt(2 * d + 1),
-                                   flagged=False))
+            c_emp = estimate_cstar(records)
         except PreconditionError:
-            rows.append(SqrtLawRow(d=d, c_emp=math.nan, scaled=math.nan,
-                                   flagged=True))
+            c_emp = math.nan
+        rows.append(SqrtLawRow(d=d, c_emp=c_emp))
     return rows
 
 

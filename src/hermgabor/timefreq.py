@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import BudgetError, CapacityError
 from .hermite import VectorWindow, dilated_hermite_all
+from .lattice import DEFAULT_POINT_BUDGET
 
 TWO_PI = 2.0 * math.pi
 REGION_STEP = 1.0 / 16.0
@@ -27,7 +28,8 @@ WIDE_REGION_DEGREE = 6
 
 @dataclass(frozen=True)
 class Region:
-    """Rectangular sampling region [-x_half, x_half] x [-xi_half, xi_half]."""
+    """Rectangular sampling region [-x_half, x_half] x [-xi_half, xi_half];
+    BudgetError when it has more than DEFAULT_POINT_BUDGET samples."""
 
     x_half: float
     xi_half: float
@@ -38,6 +40,12 @@ class Region:
         for v in (self.x_half, self.xi_half, self.x_step, self.xi_step):
             if not 0 < v < math.inf:
                 raise ValueError("region parameters must be finite and positive")
+        # the axis sizes, as floats: a huge half over a tiny step is inf
+        nx, nxi = (2 * float(np.rint(half / step)) + 1 for half, step in
+                   ((self.x_half, self.x_step), (self.xi_half, self.xi_step)))
+        if nx * nxi > DEFAULT_POINT_BUDGET:
+            raise BudgetError(f"region of {nx:.0f}x{nxi:.0f} samples exceeds "
+                              f"point budget {DEFAULT_POINT_BUDGET}")
 
     @property
     def x_axis(self) -> np.ndarray:

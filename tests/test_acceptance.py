@@ -28,7 +28,7 @@ def report(num, ok, detail):
 def test_criterion_01_hermite_orthonormality():
     t0 = time.perf_counter()
     grid = hg.GridSpec.build(max_index=20)
-    table = hg.eval_hermite_all(20, grid.points)
+    table = hg.dilated_hermite_all(20, 1.0, grid.points)
     gram = grid.step * (table @ table.T)
     err = float(np.max(np.abs(gram - np.eye(21))))
     elapsed = time.perf_counter() - t0

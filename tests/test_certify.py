@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -249,7 +250,25 @@ def test_certificate_json_roundtrip():
     text = certificate_to_json(cert)
     back = certificate_from_json(text)
     assert certificate_to_json(back) == text
+    assert back == cert
     assert back.ratio == cert.ratio and back.valid == cert.valid
+    # an invalid certificate round-trips as exactly
+    coarse = certificate(certification_window(0), LatticeMatrix(10, 0, 0, 10))
+    assert not coarse.valid
+    assert certificate_from_json(certificate_to_json(coarse)) == coarse
+
+
+@pytest.mark.parametrize("field, value", [
+    ("valid", False), ("r", 0.51), ("B_cert", 1.0), ("A_cert", 0.0),
+    ("det", 0.02)])
+def test_certificate_from_json_rejects_contradicting_fields(field, value):
+    # the file's derived fields must be those of its R and matrix
+    cert = certificate(certification_window(0), LatticeMatrix(0.1, 0, 0, 0.1))
+    assert cert.valid
+    record = json.loads(certificate_to_json(cert))
+    record[field] = value
+    with pytest.raises(ValueError, match=field):
+        certificate_from_json(json.dumps(record))
 
 
 def test_ambiguity_grid_too_small_for_region():

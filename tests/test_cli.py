@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hermgabor import bounds_from_json, certificate_from_json
-from hermgabor.cli import main, validate
+from hermgabor.cli import CONFIG_FIELDS, main, validate
 from hermgabor.scan import SCAN_CSV_HEADER
 
 
@@ -57,9 +57,20 @@ def test_bounds_json_file(tmp_path, capsys):
 
 
 def test_bounds_budget_exit_3(tmp_path, capsys):
-    # a sparse lattice is summed directly, over a 3351x3351 box
+    # 1,100,0,1 generates Z^2: its exact box is 3351x35, and its bounds are
+    # those of the identity basis
+    bounds = []
+    for matrix in ("1,100,0,1", "1,0,0,1"):
+        code, out, _ = run(capsys, "bounds", "--d", "0", "--matrix", matrix,
+                           "--K", "16")
+        assert code == 0
+        bounds.append(bounds_from_json(out))
+    sheared, square = bounds
+    assert sheared.A_est == pytest.approx(square.A_est, rel=1e-9)
+    assert sheared.B_est == pytest.approx(square.B_est, rel=1e-9)
+    # a sparse lattice is summed directly, over a 3x33489127 box
     code, _, err = run(capsys, "bounds", "--d", "0", "--matrix",
-                       "1,100,0,1", "--K", "16")
+                       "1000000,0,0,0.000001", "--K", "16")
     assert code == 3
     assert "budget" in err
 
@@ -197,8 +208,10 @@ def test_validate_nyquist_diagnostic(capsys):
 
 def test_validate_budget_diagnostic(capsys):
     # a large dilation widens the truncation radius, hence the box of the
-    # adjoint lattice this dense one is summed over (2681x2681 at dilation 1)
-    argv = ("bounds", "--d", "0", "--matrix", "80,0,0,0.00001", "--K", "16")
+    # adjoint lattice this dense one is summed over (2679133x3 at dilation
+    # 1, 3758263x3 at dilation 4)
+    argv = ("bounds", "--d", "0", "--matrix", "80000,0,0,0.0000001",
+            "--K", "16")
     code, out, _ = run(capsys, *argv, "--validate-only")
     assert code == 0 and out.strip() == "ok"
     argv += ("--dilation", "4")
@@ -231,9 +244,22 @@ REJECTED = [
     ("bounds --d 0 --matrix 0.5,0,0,0.5 --config {cfg}", 2, "invalid values"),
     ("scan --d 0 --t-list 0.4,0.5", 2, "descending"),
     ("bounds --d 0", 2, "requires --matrix"),
-    ("bounds --d 0 --matrix 1,100,0,1 --K 16", 3, "exceeds point budget"),
-    ("bounds --d 0 --matrix 1000,0,0,0.00001 --K 16", 3,
+    ("bounds --d 0 --matrix 1000000,0,0,0.000001 --K 16", 3,
      "exceeds point budget"),
+    ("bounds --d 0 --matrix 80000,0,0,0.0000001 --K 16 --dilation 4", 3,
+     "exceeds point budget"),
+    # a non-finite lattice entry was reported as a singular matrix
+    ("norm --matrix nan,0,0,1", 2, "finite"),
+    ("scan --d 0 --t-list 0.5,nan --K 16", 2, "finite"),
+    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b inf", 2, "finite"),
+    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b nan", 2, "finite"),
+    ("glgrid --d 0 --det-max inf", 2, "finite"),
+    # requests that would allocate without bound: a MemoryError before
+    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 0.000001", 3,
+     "exceeds point budget"),
+    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 0.001", 3,
+     "exceeds point budget"),
+    ("hermite --n 1000000000 --x 0", 3, "exceeds point budget"),
 ]
 
 
@@ -249,6 +275,12 @@ def test_validate_only_agrees_with_run(tmp_path, capsys, command, run_code,
     code, out, err = run(capsys, *argv)
     assert code == run_code and not out
     assert err == f"error: {said}\n"
+
+
+def test_config_fields_are_the_flags():
+    assert sorted(CONFIG_FIELDS) == sorted([
+        "command", "n", "x", "dilation", "format", "matrix", "d", "K",
+        "budget", "region_step", "t_list", "det_max", "steps", "b", "output"])
 
 
 def test_config_value_types(tmp_path, capsys):

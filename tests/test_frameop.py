@@ -199,9 +199,11 @@ def test_spec_validation():
     # the budget bounds the box of the summed lattice: a dense lattice's
     # sparse adjoint is admitted, an oversized box on either side is not
     make_spec(t=0.001, point_budget=1000)
-    for M in (LatticeMatrix(1, 100, 0, 1), LatticeMatrix(1000, 0, 0, 1e-5)):
+    for M, a in ((LatticeMatrix(1e6, 0, 0, 1e-6), 1.0),
+                 (LatticeMatrix(8e4, 0, 0, 1e-7), 4.0)):
         with pytest.raises(BudgetError):
-            GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16)
+            GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16,
+                            window_dilation=a)
     for indices, message in (((0, -2), "nonnegative"), ((-1,), "nonnegative"),
                              ((), "at least one component"),
                              ((1.7,), "integers"), ((0, 1.0), "integers")):

@@ -5,8 +5,7 @@ import pytest
 import sympy as sp
 
 from hermgabor import (CapacityError, GridSpec, dilated_hermite,
-                       dilated_hermite_all, eval_hermite, eval_hermite_all,
-                       hermite_operator_residual, hermite_window,
+                       dilated_hermite_all, hermite_operator_residual,
                        window_from_indices)
 
 
@@ -23,11 +22,11 @@ def rodrigues_oracle(n):
 def test_recurrence_matches_rodrigues(n):
     xs = np.linspace(-4.0, 4.0, 33)
     oracle = rodrigues_oracle(n)
-    assert np.max(np.abs(eval_hermite(n, xs) - oracle(xs))) < 1e-10
+    assert np.max(np.abs(dilated_hermite(n, 1.0, xs) - oracle(xs))) < 1e-10
 
 
 def test_scalar_input_returns_float():
-    v = eval_hermite(2, 0.0)
+    v = dilated_hermite(2, 1.0, 0.0)
     assert isinstance(v, float)
     # h_2(0) = -pi^{-1/4}/sqrt(2)
     assert v == pytest.approx(-np.pi ** (-0.25) / math.sqrt(2), abs=1e-14)
@@ -36,14 +35,14 @@ def test_scalar_input_returns_float():
 
 def test_eval_all_consistent_with_single():
     xs = np.linspace(-6, 6, 101)
-    table = eval_hermite_all(8, xs)
+    table = dilated_hermite_all(8, 1.0, xs)
     for n in range(9):
-        np.testing.assert_allclose(table[n], eval_hermite(n, xs), atol=1e-14)
+        np.testing.assert_allclose(table[n], dilated_hermite(n, 1.0, xs), atol=1e-14)
 
 
 def test_orthonormality_small():
     grid = GridSpec.build(max_index=10)
-    table = eval_hermite_all(10, grid.points)
+    table = dilated_hermite_all(10, 1.0, grid.points)
     gram = grid.step * (table @ table.T)
     assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
@@ -51,7 +50,7 @@ def test_orthonormality_small():
 def test_dilation_definition():
     xs = np.linspace(-5, 5, 41)
     a = 0.3
-    expect = a ** (-0.25) * eval_hermite(3, xs / math.sqrt(a))
+    expect = a ** (-0.25) * dilated_hermite(3, 1.0, xs / math.sqrt(a))
     np.testing.assert_allclose(dilated_hermite(3, a, xs), expect, atol=1e-14)
 
 
@@ -77,8 +76,8 @@ def test_residual_quadratic_in_step():
 
 def test_window_construction():
     grid = GridSpec.build(max_index=3)
-    w = hermite_window(3, grid)
-    assert w.degree == 3 and w.n_components == 4
+    w = window_from_indices(range(4), grid)
+    assert w.degree == 3 and len(w.indices) == 4
     assert (w.grid, w.indices, w.dilation) == (grid, (0, 1, 2, 3), 1.0)
     # frozen and hashable: equal windows are one key
     assert {w: 1}[window_from_indices(range(4), grid)] == 1
@@ -87,13 +86,13 @@ def test_window_construction():
 def test_window_duplicate_indices_allowed():
     grid = GridSpec.build(max_index=0)
     w = window_from_indices((0, 0), grid)
-    assert w.indices == (0, 0) and w.n_components == 2
+    assert w.indices == (0, 0) and len(w.indices) == 2
 
 
 def test_invalid_arguments():
     grid = GridSpec.build(max_index=0)
     with pytest.raises(ValueError):
-        eval_hermite(-1, 0.0)
+        dilated_hermite(-1, 1.0, 0.0)
     for a in (0.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="dilation"):
             dilated_hermite(0, a, 1.0)

@@ -9,6 +9,11 @@ from _oracles import sampled_box_norm_oracle
 from hermgabor import (BudgetError, LatticeMatrix, box_norm, covolume,
                        enumerate_points)
 
+# the unimodular matrices with entries in [-2, 2]: bases of Z^2
+UNIMODULAR = [u for u in (np.array(e).reshape(2, 2) - 2
+                          for e in np.ndindex(5, 5, 5, 5))
+              if abs(round(np.linalg.det(u))) == 1]
+
 
 def test_box_norm_identity():
     assert box_norm(LatticeMatrix(1, 0, 0, 1)) == pytest.approx(
@@ -93,14 +98,18 @@ def test_enumerate_lexicographic_and_nested():
     M = LatticeMatrix(0.7, 0.2, -0.1, 0.9)
     small = enumerate_points(M, 2.0)
     large = enumerate_points(M, 4.0)
-    coords_small = {tuple(k) for k in small.coords}
-    coords_large = {tuple(k) for k in large.coords}
-    assert coords_small <= coords_large
-    order = [tuple(k) for k in large.coords]
+    # the generating k of each point, and the points rebuilt from them
+    ks = {}
+    for name, pts in (("small", small), ("large", large)):
+        k = pts.points @ np.linalg.inv(M.as_array()).T
+        ks[name] = np.round(k).astype(int)
+        np.testing.assert_allclose(k, ks[name], atol=1e-12)
+        np.testing.assert_allclose(pts.points, ks[name] @ M.as_array().T,
+                                   atol=1e-14)
+    assert {tuple(k) for k in ks["small"]} <= {tuple(k) for k in ks["large"]}
+    order = [tuple(k) for k in ks["large"]]
     assert order == sorted(order)
-    # every returned point respects the cutoff, generator reproduces points
-    np.testing.assert_allclose(large.points,
-                               large.coords @ M.as_array().T, atol=1e-14)
+    # every returned point respects the cutoff
     assert np.all(np.hypot(*large.points.T) <= 4.0)
 
 
@@ -110,3 +119,46 @@ def test_enumerate_budget():
         enumerate_points(M, 10.0, budget=1000)
     with pytest.raises(ValueError):
         enumerate_points(M, -1.0)
+
+
+def square_box_points(M, radius):
+    """The points of norm <= radius in the square box |k|_inf <= ceil(radius
+    ||M^{-1}||_2), lexicographic in k: the enumeration before the box was
+    sized per coordinate."""
+    A = M.as_array()
+    kmax = int(np.ceil(radius * np.linalg.norm(np.linalg.inv(A), 2)))
+    rng = np.arange(-kmax, kmax + 1)
+    k1, k2 = np.meshgrid(rng, rng, indexing="ij")
+    pts = np.column_stack([k1.ravel(), k2.ravel()]) @ A.T
+    return pts[np.einsum("ij,ij->i", pts, pts) <= radius * radius]
+
+
+def lattices():
+    entry = st.floats(min_value=-3, max_value=3)
+    return st.tuples(entry, entry, entry, entry).filter(
+        lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 0.2).map(
+        lambda m: LatticeMatrix(*m))
+
+
+@settings(deadline=None, max_examples=100)
+@given(lattices(), st.floats(min_value=0.1, max_value=6.0))
+@example(M=LatticeMatrix(1, 100, 0, 1), radius=3.0)
+@example(M=LatticeMatrix(0, 1, -1, 0), radius=2.0)
+def test_enumeration_box_matches_square_box(M, radius):
+    # the box sized per coordinate holds exactly the points of the square one
+    np.testing.assert_array_equal(enumerate_points(M, radius).points,
+                                  square_box_points(M, radius))
+
+
+@settings(deadline=None, max_examples=100)
+@given(lattices(), st.sampled_from(UNIMODULAR),
+       st.floats(min_value=0.1, max_value=6.0))
+def test_enumeration_independent_of_basis(M, U, radius):
+    # M and MU generate one lattice: each point of one set that is not
+    # within rounding of the disc's edge is a point of the other
+    MU = LatticeMatrix.from_array(M.as_array() @ U)
+    sets = [enumerate_points(L, radius).points for L in (M, MU)]
+    for mine, other in (sets, sets[::-1]):
+        inner = mine[np.hypot(*mine.T) <= radius * (1 - 1e-9)]
+        gaps = np.hypot(*(inner[:, None, :] - other[None, :, :]).T)
+        assert np.all(gaps.min(axis=0) < 1e-9)

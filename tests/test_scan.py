@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from hermgabor import (LatticeMatrix, PreconditionError, ScanRecord, box_norm,
-                       dilation_covariance_check, estimate_cstar,
-                       records_to_csv, sqrt_law_probe, tightness_scan)
+from hermgabor import (LatticeMatrix, PreconditionError, ScanRecord,
+                       SqrtLawRow, box_norm, dilation_covariance_check,
+                       estimate_cstar, records_to_csv, sqrt_law_probe,
+                       tightness_scan)
 from hermgabor.scan import SCAN_CSV_HEADER, default_t_ladder
 
 
@@ -17,24 +18,24 @@ def planted_record(t, C, d=0):
     A = (1 - r / C) ** 2 / det
     B = (1 + r / C) ** 2 / det
     return ScanRecord(d=d, t=t, box_norm=r, det=det, A_est=A, B_est=B,
-                      tightness=B / A, C_emp=r / (1 - math.sqrt(A * det)),
                       converged=True)
 
 
 def test_estimator_recovers_planted_constant():
     C = 0.3
     records = [planted_record(t, C) for t in (0.2, 0.15, 0.1, 0.05)]
-    est = estimate_cstar(records)
-    assert est.value == pytest.approx(C, abs=1e-9)
-    assert est.method == "theorem1-inversion"
-    assert est.t_range == (0.05, 0.2)
+    assert estimate_cstar(records) == pytest.approx(C, abs=1e-9)
+    # the record derives both from what it measured
+    rec = records[0]
+    assert rec.C_emp == rec.box_norm / (1 - math.sqrt(rec.A_est * rec.det))
+    assert rec.tightness == rec.B_est / rec.A_est
 
 
 def test_estimator_superset_monotone():
     records = [planted_record(t, 0.3) for t in (0.2, 0.1, 0.05)]
-    base = estimate_cstar(records).value
+    base = estimate_cstar(records)
     extra = records + [planted_record(0.25, 0.25)]
-    assert estimate_cstar(extra).value <= base + 1e-12
+    assert estimate_cstar(extra) <= base + 1e-12
 
 
 def test_estimator_needs_three_usable():
@@ -85,14 +86,23 @@ def test_csv_schema_and_determinism():
 def test_unusable_record_is_nan():
     # A_est * det >= 1 cannot be inverted
     rec = ScanRecord(d=0, t=0.1, box_norm=0.07, det=0.01, A_est=150.0,
-                     B_est=200.0, tightness=4 / 3, C_emp=float("nan"),
-                     converged=True)
-    assert not rec.usable
+                     B_est=200.0, converged=True)
+    assert math.isnan(rec.C_emp) and not rec.usable
+    assert rec.tightness == 200.0 / 150.0
+    # a negative determinant inverts like its absolute value
+    flipped = ScanRecord(d=0, t=0.1, box_norm=0.07, det=-0.01, A_est=50.0,
+                         B_est=200.0, converged=True)
+    assert flipped.C_emp == pytest.approx(0.07 / (1 - math.sqrt(0.5)), rel=1e-14)
+    assert ScanRecord(d=0, t=0.1, box_norm=0.07, det=0.01, A_est=0.0,
+                      B_est=1.0, converged=False).tightness == math.inf
 
 
 def test_sqrt_law_probe_flags_thin_input():
     rows = sqrt_law_probe([0], t_list=[0.5, 0.45], galerkin_dim=16)
     assert rows[0].flagged  # only 2 records, estimator needs 3
+    assert math.isnan(rows[0].c_emp) and math.isnan(rows[0].scaled)
+    row = SqrtLawRow(d=4, c_emp=0.25)
+    assert not row.flagged and row.scaled == 0.25 * 3.0
     with pytest.raises(ValueError):
         sqrt_law_probe([])
 

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hermgabor import GridSpec, Region, default_region, hermite_window, stft
+from hermgabor import (BudgetError, GridSpec, Region, default_region, stft,
+                       window_from_indices)
+from hermgabor.lattice import DEFAULT_POINT_BUDGET
 
 
 @pytest.fixture(scope="module")
 def gauss():
     grid = GridSpec.build(max_index=0, max_modulation=12.0)
-    return hermite_window(0, grid)
+    return window_from_indices((0,), grid)
 
 
 def test_stft_isometry(gauss):
@@ -43,3 +45,15 @@ def test_region_rejects_non_finite_or_non_positive(bad):
             Region(**params)
     with pytest.raises(ValueError, match="finite step"):
         default_region(0, bad)
+
+
+def test_region_point_budget():
+    # 3161 x 3161 samples fit in the budget of 10^7, 3165 x 3165 do not
+    at_budget = Region(x_half=1.0, xi_half=1.0, x_step=1 / 1580.5,
+                       xi_step=1 / 1580.5)
+    assert at_budget.x_axis.size * at_budget.xi_axis.size <= DEFAULT_POINT_BUDGET
+    for step in (1 / 1581.5, 1e-300):
+        with pytest.raises(BudgetError, match="exceeds point budget"):
+            Region(x_half=1.0, xi_half=1.0, x_step=step, xi_step=step)
+    with pytest.raises(BudgetError, match="exceeds point budget"):
+        default_region(0, 0.001)
