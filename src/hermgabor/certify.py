@@ -12,6 +12,8 @@ for any window with orthonormal components.
 F of a Hermite window is computed in closed form, as a sum of Laguerre
 functions (see ``ambiguity``); R is computed from the running maxima and
 minima of the real field over the oscillation disc (see ``oscillation``).
+The certificate evaluates both on one quadrant of the plane and folds their
+sums by symmetry (see ``certificate``).
 """
 
 from __future__ import annotations
@@ -53,25 +55,10 @@ def certification_window(d: int, region: Region = None) -> VectorWindow:
     return window_from_indices(range(d + 1), certification_grid(d, region))
 
 
-def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
-    """Ambiguity function of the vector window over the region grid.
-
-    Values carry the symmetric time-frequency gauge, F(x,xi) =
-    e^{-i*pi*x*xi} <f, T_x M_xi f>: in this gauge (and only in it) the range
-    of the transform is reproduced by twisted convolution with F, which is
-    the identity the certificate chain rests on. There the ambiguity
-    function of h_{n,a} is the Laguerre function l_n(s) = e^{-s/2} L_n(s) of
-    s = (x^2/a + a*(2*pi*xi)^2)/2 (Thangavelu, Lectures on Hermite and
-    Laguerre Expansions, 1993, ch. 1; DLMF 18.9), so F is the real sum of
-    l_n over the window's indices, evaluated by the three-term recurrence
-    (n+1) l_{n+1} = (2n+1-s) l_n - n l_{n-1}. The region must fit the
-    window's grid as for ``stft`` (CapacityError otherwise).
-    """
-    if region is None:
-        region = default_region(w.degree)
-    check_region_capacity(w, region)
+def _laguerre_field(w: VectorWindow, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """F of the window on the grid x by xi: the sum of l_n(s) over its
+    indices, by the three-term recurrence (see ``ambiguity``)."""
     a = abs(w.dilation)
-    x, xi = region.x_axis, region.xi_axis
     u, v = x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0   # s = u + v
     s = np.add.outer(u, v)
     counts = np.bincount(w.indices)
@@ -86,15 +73,43 @@ def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
             ell_next -= n * ell_prev
             ell_next /= n + 1
             ell_prev, ell = ell, ell_next
-    return SampledField(x_axis=x, xi_axis=xi, values=values)
+    return values
 
 
-def _check_boundary_decay(f: SampledField, name: str) -> None:
-    vmax = float(np.max(np.abs(f.values)))
-    if vmax == 0.0:
-        return
-    ring = max(np.abs(f.values[0, :]).max(), np.abs(f.values[-1, :]).max(),
-               np.abs(f.values[:, 0]).max(), np.abs(f.values[:, -1]).max())
+def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
+    """Ambiguity function of the vector window over the region grid.
+
+    Values carry the symmetric time-frequency gauge, F(x,xi) =
+    e^{-i*pi*x*xi} <f, T_x M_xi f>: in this gauge (and only in it) the range
+    of the transform is reproduced by twisted convolution with F, which is
+    the identity the certificate chain rests on. There the ambiguity
+    function of h_{n,a} is the Laguerre function l_n(s) = e^{-s/2} L_n(s) of
+    s = (x^2/a + a*(2*pi*xi)^2)/2 (Thangavelu, Lectures on Hermite and
+    Laguerre Expansions, 1993, ch. 1; DLMF 18.9), so F is the real sum of
+    l_n over the window's indices, evaluated by the three-term recurrence
+    (n+1) l_{n+1} = (2n+1-s) l_n - n l_{n-1}. F depends on x^2 and xi^2
+    only and the region's axes are symmetric, so F is evaluated on the
+    quadrant x, xi >= 0 and unfolded. The region must fit the window's grid
+    as for ``stft`` (CapacityError otherwise).
+    """
+    if region is None:
+        region = default_region(w.degree)
+    check_region_capacity(w, region)
+    x, xi = region.x_axis, region.xi_axis
+    nx, nxi = x.size // 2, xi.size // 2
+    quadrant = _laguerre_field(w, x[nx:], xi[nxi:])
+    # node i of an axis (i = -n..n) is node |i| of the quadrant's
+    mirror = np.ix_(np.abs(np.arange(-nx, nx + 1)),
+                    np.abs(np.arange(-nxi, nxi + 1)))
+    return SampledField(x_axis=x, xi_axis=xi, values=quadrant[mirror])
+
+
+def _check_boundary_decay(values: np.ndarray, name: str, edges=(0, -1)) -> None:
+    """PreconditionError unless the field's rows and columns at ``edges``
+    stay below BOUNDARY_DECAY_TOL of its maximum."""
+    a = np.abs(values)
+    vmax = float(a.max())
+    ring = max(a[list(edges), :].max(), a[:, list(edges)].max())
     if ring > BOUNDARY_DECAY_TOL * vmax:
         raise PreconditionError(
             f"{name} does not decay below {BOUNDARY_DECAY_TOL} at the region "
@@ -113,8 +128,8 @@ def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
             not np.allclose(G.x_axis, F.x_axis) or \
             not np.allclose(G.xi_axis, F.xi_axis):
         raise ValueError("twisted convolution requires identical axes")
-    _check_boundary_decay(G, "first field")
-    _check_boundary_decay(F, "second field")
+    _check_boundary_decay(G.values, "first field")
+    _check_boundary_decay(F.values, "second field")
     x = G.x_axis
     xi = G.xi_axis
     nx, nxi = G.values.shape
@@ -252,9 +267,14 @@ def _check_orthonormal(w: VectorWindow) -> None:
             f"index in {w.indices}")
 
 
-def _tv_estimate(F: SampledField) -> float:
-    gx, gxi = np.gradient(F.values, F.x_axis, F.xi_axis)
-    return float(F.x_step * F.xi_step * np.sum(np.abs(gx) + np.abs(gxi)))
+def _fold(values: np.ndarray) -> float:
+    """Sum over the region of a field even in x and in xi, from its quadrant
+    values[1:, 1:] (axis row and column first): every node off an axis
+    stands for its mirror images too."""
+    quadrant = values[1:, 1:]
+    wx, wxi = np.full(quadrant.shape[0], 2.0), np.full(quadrant.shape[1], 2.0)
+    wx[0] = wxi[0] = 1.0
+    return float(wx @ quadrant @ wxi)
 
 
 def certificate(w: VectorWindow, M: LatticeMatrix,
@@ -262,17 +282,32 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
     the ambiguity field of the orthonormal window w over the region (default
     region when None); PreconditionError when the region cuts that field off
-    (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum)."""
+    (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
+
+    F is even in x and in xi (see ``ambiguity``), so F, its oscillation and
+    its gradient are evaluated on the quadrant x, xi >= 0 plus the row and
+    column across the axes that the gradient's central differences there
+    read, and their region sums are folded from the quadrant. Mirroring a
+    disc neighbour of a quadrant node across an axis moves it no farther
+    from that node, so the disc needs no wider margin. By symmetry the
+    quadrant's outer row and column hold the whole boundary ring.
+    """
     _check_orthonormal(w)
     if region is None:
         region = default_region(w.degree)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    F = ambiguity(w, region)
-    _check_boundary_decay(F, "ambiguity function")
-    R = osc_l1(F, r)
-    eps = 2.0 * F.x_step * _tv_estimate(F) / covolume(M)
-    return Certificate(ratio=R, matrix=M, window_degree=w.degree, eps_disc=eps)
+    check_region_capacity(w, region)
+    x, xi = (axis[max(axis.size // 2 - 1, 0):]
+             for axis in (region.x_axis, region.xi_axis))
+    F = SampledField(x_axis=x, xi_axis=xi, values=_laguerre_field(w, x, xi))
+    _check_boundary_decay(F.values, "ambiguity function", edges=(-1,))
+    h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
+    R = h2 * _fold(oscillation(F, r).values)
+    gx, gxi = np.gradient(F.values, F.x_step, F.xi_step)
+    tv = h2 * _fold(np.abs(gx) + np.abs(gxi))
+    return Certificate(ratio=R, matrix=M, window_degree=w.degree,
+                       eps_disc=2.0 * F.x_step * tv / covolume(M))
 
 
 # ---------------------------------------------------------------------------

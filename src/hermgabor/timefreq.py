@@ -73,9 +73,15 @@ def default_region(d: int, step: float = REGION_STEP) -> Region:
     root = math.sqrt(2 * d + 1)
     x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else root + 8.0
     xi_half = x_half / TWO_PI + 1.0
-    return Region(x_half=math.ceil(x_half / step) * step,
-                  xi_half=math.ceil(xi_half / step) * step,
-                  x_step=step, xi_step=step)
+    return Region(x_half=_round_up(x_half, step),
+                  xi_half=_round_up(xi_half, step), x_step=step, xi_step=step)
+
+
+def _round_up(half: float, step: float) -> float:
+    """half rounded up to a multiple of step; half itself when half / step
+    overflows (a subnormal step), which Region rejects on the point budget."""
+    count = half / step
+    return math.ceil(count) * step if count < math.inf else half
 
 
 @dataclass(frozen=True, eq=False)

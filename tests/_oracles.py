@@ -83,3 +83,17 @@ def oscillation_oracle(F, r):
             view = out[s0:nx - s1, t0:nxi - t1]
             np.maximum(view, np.abs(a - b), out=view)
     return out
+
+
+def full_field_certificate(w, M, region):
+    """(R, eps_disc) of the certificate of window w on lattice M from the
+    field over the whole region: ``ambiguity``, the L1 norm of its
+    oscillation (``osc_l1``) and its total variation from ``np.gradient``
+    with coordinate arrays, with no symmetry used."""
+    from hermgabor import ambiguity, box_norm, covolume, osc_l1
+
+    F = ambiguity(w, region)
+    R = osc_l1(F, box_norm(M))
+    gx, gxi = np.gradient(F.values, F.x_axis, F.xi_axis)
+    tv = F.x_step * F.xi_step * float(np.sum(np.abs(gx) + np.abs(gxi)))
+    return R, 2.0 * F.x_step * tv / covolume(M)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
@@ -12,9 +14,10 @@ from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
                        default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft, twisted_convolve,
                        window_from_indices)
-from hermgabor.certify import BOUNDARY_DECAY_TOL
+from hermgabor.certify import BOUNDARY_DECAY_TOL, _laguerre_field
+from hermgabor.timefreq import WIDE_REGION_DEGREE
 
-from _oracles import oscillation_oracle
+from _oracles import full_field_certificate, oscillation_oracle
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
 
@@ -64,6 +67,26 @@ def test_ambiguity_closed_form_matches_stft(indices, dilation):
     assert F.dtype == np.float64
     assert np.max(np.abs(F - G)) <= 1e-13 * np.max(np.abs(F))
     assert F[F.shape[0] // 2, F.shape[1] // 2] == len(indices)
+
+
+@pytest.mark.parametrize("indices, dilation", [
+    ((0, 1, 2), 1.0), ((0, 1, 2), 0.5), ((1, 3), 2.0), ((0, 0, 2), 1.7),
+    ((2, 0, 2, 5), 0.4)])
+def test_ambiguity_is_even_in_x_and_xi(indices, dilation):
+    # the premise of the certificate's quadrant fold: the Laguerre sum
+    # evaluated over the whole region equals its own flips bit for bit, and
+    # ambiguity (the unfolded quadrant) equals that whole-region sum
+    n = max(indices)
+    region = default_region(n, step=1 / 8)
+    grid = GridSpec(step=1 / 32, count=math.ceil(
+        64 * (region.x_half + math.sqrt((2 * n + 1) * dilation) + 8.0)))
+    w = window_from_indices(indices, grid, dilation)
+    full = _laguerre_field(w, region.x_axis, region.xi_axis)
+    F = ambiguity(w, region).values
+    for values in (full, F):
+        assert np.array_equal(values, values[::-1, :])
+        assert np.array_equal(values, values[:, ::-1])
+    assert np.array_equal(F, full)
 
 
 def smooth_random_field(rng, half=6.0, step=0.5):
@@ -285,6 +308,67 @@ def test_certificate_rejects_region_cutting_off_the_ambiguity():
     w = certification_window(0, region)
     with pytest.raises(PreconditionError, match="region boundary"):
         certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
+
+
+@pytest.mark.parametrize("x_half, xi_half", [(12.0, 0.5), (2.0, 3.0)])
+def test_certificate_rejects_region_cutting_off_one_axis(x_half, xi_half):
+    # the Gaussian's ambiguity function has decayed at one edge of the
+    # region and not at the other; the certificate reads the quadrant's
+    # outer row and column, which must hold both edges of the ring
+    region = Region(x_half=x_half, xi_half=xi_half, x_step=1 / 16,
+                    xi_step=1 / 16)
+    w = certification_window(0, region)
+    F = ambiguity(w, region).values
+    peak = np.abs(F).max()
+    x_edge = np.abs(F[[0, -1], :]).max() / peak
+    xi_edge = np.abs(F[:, [0, -1]]).max() / peak
+    assert min(x_edge, xi_edge) <= BOUNDARY_DECAY_TOL < max(x_edge, xi_edge)
+    with pytest.raises(PreconditionError, match="region boundary"):
+        certificate(w, LatticeMatrix(0.1, 0, 0, 0.1), region)
+
+
+RADII = ("just above the step", "inside the region", "wider than the xi half")
+
+
+@settings(deadline=None, max_examples=40)
+@given(d=st.integers(0, 8), dilation=st.floats(0.3, 3.0),
+       step=st.sampled_from([1 / 8, 1 / 16, 1 / 32]),
+       radius=st.sampled_from(RADII), frac=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi))
+@example(d=0, dilation=1.0, step=1 / 32, radius=RADII[0], frac=0.0,
+         theta=0.0)
+@example(d=8, dilation=0.3, step=1 / 16, radius=RADII[2], frac=1.0,
+         theta=0.3)
+@example(d=3, dilation=3.0, step=1 / 8, radius=RADII[1], frac=0.5,
+         theta=1.0)
+def test_certificate_matches_full_field_oracle(d, dilation, step, radius,
+                                               frac, theta):
+    # a default region, widened by 1 and then stretched by sqrt(dilation) in
+    # x and shrunk by it in xi, holds the ambiguity function of the dilated
+    # window
+    root_a = math.sqrt(dilation)
+    x_half = 1.0 + (2 * math.sqrt(2 * d + 1) + 5.0 if d >= WIDE_REGION_DEGREE
+                    else math.sqrt(2 * d + 1) + 8.0)
+    region = Region(
+        x_half=math.ceil(x_half * root_a / step) * step,
+        xi_half=math.ceil((x_half / (2 * math.pi * root_a) + 1) / step) * step,
+        x_step=step, xi_step=step)
+    grid = GridSpec(step=1 / 32, count=math.ceil(
+        64 * (region.x_half + math.sqrt(2 * d + 1) * root_a + 8.0)))
+    w = window_from_indices(range(d + 1), grid, dilation)
+    r = {RADII[0]: step * (1 + 1e-9),
+         RADII[1]: step * (1 + 1e-9) + frac * (1.0 - step),
+         RADII[2]: region.xi_half * (1.05 + 0.5 * frac)}[radius]
+    # t R(theta) maps the box [-1/2, 1/2]^2 onto a square of half-diagonal
+    # t / sqrt(2)
+    t = math.sqrt(2) * r
+    c, s = math.cos(theta), math.sin(theta)
+    M = LatticeMatrix(t * c, -t * s, t * s, t * c)
+    assert box_norm(M) > step
+    cert = certificate(w, M, region)
+    R, eps = full_field_certificate(w, M, region)
+    assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
+    assert cert.eps_disc == pytest.approx(eps, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("d", list(range(13)) + [17, 18, 25, 40])

@@ -260,6 +260,9 @@ REJECTED = [
     ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 0.001", 3,
      "exceeds point budget"),
     ("hermite --n 1000000000 --x 0", 3, "exceeds point budget"),
+    # a half over a subnormal step overflowed while rounding: a traceback
+    ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 1e-320", 3,
+     "exceeds point budget"),
 ]
 
 

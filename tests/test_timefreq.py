@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, GridSpec, Region, default_region, stft,
                        window_from_indices)
@@ -34,6 +36,18 @@ def test_region_axes_symmetric():
     r = Region(x_half=2.0, xi_half=1.0, x_step=0.5, xi_step=0.25)
     np.testing.assert_allclose(r.x_axis, [-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
     assert r.xi_axis.size == 9 and r.xi_axis[4] == 0.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.floats(0.01, 2.0),
+       st.floats(0.01, 2.0))
+def test_region_axes_are_mirror_images(x_half, xi_half, x_step, xi_step):
+    # the certificate folds its sums from one quadrant: each axis must be
+    # its own negated reverse exactly, for any step (-0.0 == 0.0)
+    r = Region(x_half=x_half, xi_half=xi_half, x_step=x_step, xi_step=xi_step)
+    for axis in (r.x_axis, r.xi_axis):
+        assert axis.size % 2 == 1 and axis[axis.size // 2] == 0.0
+        assert np.array_equal(axis, -axis[::-1])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
