@@ -161,14 +161,17 @@ def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
     return SampledField(x_axis=x.copy(), xi_axis=xi.copy(), values=out)
 
 
-def _disc_rows(hx: float, hxi: float, r: float) -> list:
+def _disc_rows(hx: float, hxi: float, r: float, shape: tuple) -> list:
     """[(di, w)] for di = 0, 1, ...: the grid offsets (di, dj) with
-    (di*hx)^2 + (dj*hxi)^2 < r^2 are those with |dj| <= w, on rows +-di."""
+    (di*hx)^2 + (dj*hxi)^2 < r^2 are those with |dj| <= w, on rows +-di.
+    Only offsets that pair two nodes of a field of this shape are listed:
+    di < shape[0] and w at most shape[1] - 1."""
+    nx, nxi = shape
     rows = []
     di = 0
-    while (di * hx) ** 2 < r * r:
+    while di < nx and (di * hx) ** 2 < r * r:
         w = 0
-        while (di * hx) ** 2 + ((w + 1) * hxi) ** 2 < r * r:
+        while w + 1 < nxi and (di * hx) ** 2 + ((w + 1) * hxi) ** 2 < r * r:
             w += 1
         rows.append((di, w))
         di += 1
@@ -203,15 +206,13 @@ def oscillation(F: SampledField, r: float) -> SampledField:
     disc_max, disc_min = values.copy(), values.copy()
     width = 0
     # half-widths are nonincreasing in di: visit the rows widest last
-    for di, w in reversed(_disc_rows(hx, hxi, r)):
-        for k in range(width + 1, min(w, nxi - 1) + 1):
+    for di, w in reversed(_disc_rows(hx, hxi, r, values.shape)):
+        for k in range(width + 1, w + 1):
             for run, op in ((run_max, np.maximum), (run_min, np.minimum)):
                 op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
                 op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
         width = w
         for s in {di, -di}:
-            if abs(s) >= nx:
-                continue
             dst = slice(max(-s, 0), nx - max(s, 0))
             src = slice(max(s, 0), nx - max(-s, 0))
             np.maximum(disc_max[dst], run_max[src], out=disc_max[dst])

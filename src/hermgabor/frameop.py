@@ -8,6 +8,18 @@ B_est <= B_true), with the bracket closing as K grows.
 The matrix is summed over M(Z^2) or, by Janssen's representation, over its
 adjoint lattice J^{-1} M^{-T}(Z^2) of covolume 1/|det M|, whichever is
 cheaper: ``GaborSystemSpec.summed_lattice``.
+
+Both sums run over half the lattice. With h_n(-x) = (-1)^n h_n(x), the
+twisted parity (QF)_i(x) = (-1)^{idx_i} F_i(-x) maps pi(gamma) w to
+pi(-gamma) w up to a phase, so Q commutes with the frame operator: the
+terms of gamma and -gamma differ by the sign sigma_(i,m) sigma_(j,m') with
+sigma_(i,m) = (-1)^{idx_i + m}. Summing one point of each pair +-gamma at
+weight 2 and the origin at weight 1 gives every entry with sigma_(i,m) =
+sigma_(j,m'); the others cancel pairwise and are exactly 0. The matrix is
+therefore kept as its two parity blocks, and the extremal eigenvalues come
+from two eigensolves of half the size. The Riemann sums run on a grid
+symmetric under x -> -x, so the computed sums obey the same identity to
+rounding.
 """
 
 from __future__ import annotations
@@ -165,14 +177,26 @@ def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
     return (step * (V.reshape(n * R, x.size) @ H.T)).reshape(n, R, H.shape[0])
 
 
+def _parity_classes(indices, K: int) -> tuple:
+    """Positions i*K + m of the test pairs (i, m) with sigma_(i,m) =
+    (-1)^(indices[i] + m) equal to +1, and those with -1."""
+    odd = np.add.outer(np.asarray(indices), np.arange(K)).ravel() % 2 == 1
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
 def _assemble(spec: GaborSystemSpec):
-    """Frame matrix plus a bound on the spectral norm of the outermost-shell
-    contribution.
+    """The positions of the two parity classes (``_parity_classes``), the
+    frame matrix's diagonal block on each, and a bound on the spectral norm
+    of the outermost-shell contribution.
 
     Direct side: S = sum_gamma A_gamma^H A_gamma with A_gamma[i, m] =
     <h_m, pi(gamma) w_i>. Adjoint side (Janssen's representation over
     Lambda° = J^{-1} M^{-T} Z^2): S[(i,m),(j,m')] = (1/|det M|) sum_mu
     conj(E_mu[idx_j, idx_i]) E_mu[m', m], E_mu[a, b] = <pi(mu) h_a, h_b>.
+    Both sums run over one point of each pair +-mu (mu1 > 0, or mu1 = 0 <
+    mu2) at weight 2 and the origin at weight 1: A_{-gamma} = sigma o
+    A_gamma and E_{-mu}[a, b] = (-1)^(a+b) E_mu[a, b], so the pair's two
+    terms are equal where sigma_(i,m) = sigma_(j,m') and cancel elsewhere.
     """
     grid = spec.grid()
     x = grid.points
@@ -188,21 +212,25 @@ def _assemble(spec: GaborSystemSpec):
     adjoint = lattice != spec.matrix
     pts = enumerate_points(lattice, r_cut, budget=spec.point_budget)
     g = pts.points
-    keep = (np.abs(g[:, 0]) <= spec.time_cutoff()) & \
-           (np.abs(g[:, 1]) <= spec.freq_cutoff())
-    g = g[keep]
+    g1, g2 = g[:, 0], g[:, 1]
+    keep = (np.abs(g1) <= spec.time_cutoff()) & (np.abs(g2) <= spec.freq_cutoff())
+    # the kept set is symmetric under g -> -g: sum one point of each pair
+    # (g1 > 0, or g1 == 0 < g2) at weight 2 and the origin at weight 1
+    g = g[keep & ((g1 > 0) | ((g1 == 0) & (g2 >= 0)))]
+    weight = np.where(g.any(axis=1), 2.0, 1.0)
     in_shell = np.hypot(g[:, 0], g[:, 1]) > r_cut - 1.0
 
-    dim = c * K
+    classes = _parity_classes(rows, K)
     tail = 0.0
     if adjoint:
         S4 = np.zeros((c * c, K * K), dtype=complex)
         chunk = max(1, ADJOINT_CHUNK_ROWS // K)
     else:
-        S = np.zeros((dim, dim), dtype=complex)
+        blocks = [np.zeros((cls.size, cls.size), dtype=complex) for cls in classes]
         chunk = 128
     for start in range(0, g.shape[0], chunk):
         mu = g[start:start + chunk]
+        wt = weight[start:start + chunk]
         shell = in_shell[start:start + chunk]
         if adjoint:
             E = _project(mu, range(K), a, x, grid.step, H)      # (n, K, K)
@@ -210,52 +238,67 @@ def _assemble(spec: GaborSystemSpec):
             # W[p, i, j] = conj(E[p, idx_j, idx_i]); F[p, m, m'] = E[p, m', m]
             W = E[:, rows][:, :, rows].conj().transpose(0, 2, 1)
             F = E.transpose(0, 2, 1)
-            S4 += W.reshape(n, c * c).T @ F.reshape(n, K * K)
+            S4 += (wt[:, None] * W.reshape(n, c * c)).T @ F.reshape(n, K * K)
             if shell.any():
-                tail += float(np.sum(np.linalg.norm(W[shell], axis=(1, 2))
+                tail += float(np.sum(wt[shell] * np.linalg.norm(W[shell], axis=(1, 2))
                                      * np.linalg.norm(E[shell], axis=(1, 2))))
         else:
             # window rows at (gamma1, -gamma2): A[p, i, m] = <h_m, pi(gamma_p) w_i>
             A = _project(mu * [1.0, -1.0], rows, a, x, grid.step, H)
-            A = A.reshape(A.shape[0], dim)
-            S += A.conj().T @ A
+            A = A.reshape(A.shape[0], c * K)
+            for S, cls in zip(blocks, classes):
+                Ac = A[:, cls]
+                S += Ac.conj().T @ (wt[:, None] * Ac)
             if shell.any():
-                tail += float(np.sum(np.abs(A[shell]) ** 2))
+                tail += float(np.sum(wt[shell, None] * np.abs(A[shell]) ** 2))
     if adjoint:
         det = covolume(spec.matrix)
-        S = S4.reshape(c, c, K, K).transpose(0, 2, 1, 3).reshape(dim, dim) / det
+        S = S4.reshape(c, c, K, K).transpose(0, 2, 1, 3).reshape(c * K, c * K) / det
+        blocks = [S[np.ix_(cls, cls)] for cls in classes]
         tail /= det
-    S = 0.5 * (S + S.conj().T)
-    return S, tail
+    blocks = [0.5 * (S + S.conj().T) for S in blocks]
+    return classes, blocks, tail
 
 
 def assemble_frame_matrix(spec: GaborSystemSpec) -> np.ndarray:
-    """Hermitian PSD Galerkin compression of the frame operator."""
-    S, _ = _assemble(spec)
+    """Hermitian PSD Galerkin compression of the frame operator, in (i, m)
+    order; its entries between the two parity classes are exactly 0."""
+    classes, blocks, _ = _assemble(spec)
+    dim = len(spec.indices) * spec.galerkin_dim
+    S = np.zeros((dim, dim), dtype=complex)
+    for cls, block in zip(classes, blocks):
+        S[np.ix_(cls, cls)] = block
     return S
 
 
-def _extremal(S: np.ndarray):
-    """(A, B): smallest eigenvalue clipped at 0, largest eigenvalue."""
+def _restrict(classes, blocks, keep: np.ndarray) -> list:
+    """The parity blocks of the principal sub-matrix at the positions
+    i*K + m where ``keep`` is True."""
+    return [S[np.ix_(k, k)] for cls, S in zip(classes, blocks) for k in [keep[cls]]]
+
+
+def _extremal(blocks):
+    """(A, B) of a matrix given as its diagonal blocks: the smallest
+    eigenvalue clipped at 0 and the largest."""
     # numpy's solver returns NaN eigenvalues for a NaN entry
-    if not np.isfinite(S).all():
+    if not all(np.isfinite(S).all() for S in blocks):
         raise ValueError("array must not contain infs or NaNs")
     try:
-        w = np.linalg.eigvalsh(S)
+        w = [np.linalg.eigvalsh(S) for S in blocks if S.size]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    return max(float(w[0]), 0.0), float(w[-1])
+    return max(min(float(v[0]) for v in w), 0.0), max(float(v[-1]) for v in w)
 
 
-def _converged(S: np.ndarray, spec: GaborSystemSpec, A: float, B: float) -> bool:
+def _converged(classes, blocks, spec: GaborSystemSpec, A: float, B: float) -> bool:
     """True when (A, B) lie within 5% of B of the bounds of the nested K/2
-    compression, the sub-block of S at i*K + m, m < K/2 (h_m in component i)."""
+    compression, the sub-matrix of S at i*K + m, m < K/2 (h_m in component
+    i), itself split into the two parity blocks."""
     K, c = spec.galerkin_dim, len(spec.indices)
     K_half = max(K // 2, spec.max_window_index + 1)
     if K_half >= K:
         return False
-    half = S.reshape(c, K, c, K)[:, :K_half, :, :K_half]
-    A2, B2 = _extremal(half.reshape(c * K_half, c * K_half))
+    A2, B2 = _extremal(_restrict(classes, blocks, np.tile(np.arange(K) < K_half, c)))
     ref = max(B, 1e-300)
     return (abs(A - A2) / ref < CONVERGENCE_REL_TOL
             and abs(B - B2) / ref < CONVERGENCE_REL_TOL)
@@ -266,11 +309,11 @@ def frame_bounds(spec: GaborSystemSpec, check_convergence: bool = True) -> Frame
     nested K/2 compression read off the same matrix (relative change below
     5%, in units of B_est), so A_K <= A_{K/2} and B_K >= B_{K/2} hold by
     Cauchy interlacing."""
-    S, tail_sq = _assemble(spec)
-    A, B = _extremal(S)
-    converged = _converged(S, spec, A, B) if check_convergence else False
+    classes, blocks, tail = _assemble(spec)
+    A, B = _extremal(blocks)
+    converged = _converged(classes, blocks, spec, A, B) if check_convergence else False
     return FrameBounds(A_est=A, B_est=B, galerkin_dim=spec.galerkin_dim,
-                       converged=converged, tail_bound=tail_sq)
+                       converged=converged, tail_bound=tail)
 
 
 def is_frame(spec: GaborSystemSpec) -> str:
@@ -280,15 +323,15 @@ def is_frame(spec: GaborSystemSpec) -> str:
     needs convergence against the nested K/2 compression read off the same
     matrix, where A_K <= A_{K/2} and B_K >= B_{K/2} by interlacing.
     """
-    S, _ = _assemble(spec)
-    A, B = _extremal(S)
+    classes, blocks, _ = _assemble(spec)
+    A, B = _extremal(blocks)
     ratio = A / B if B > 0 else 0.0
     if ratio < FRAME_RATIO_TOL and spec.galerkin_dim < REFUTATION_GALERKIN_DIM:
         spec = spec.with_dim(REFUTATION_GALERKIN_DIM)
-        S, _ = _assemble(spec)
-        A, B = _extremal(S)
+        classes, blocks, _ = _assemble(spec)
+        A, B = _extremal(blocks)
         ratio = A / B if B > 0 else 0.0
-    converged = _converged(S, spec, A, B)
+    converged = _converged(classes, blocks, spec, A, B)
     if converged and ratio > FRAME_RATIO_TOL:
         return "frame"
     if converged and ratio < FRAME_RATIO_TOL / 10.0:
@@ -307,9 +350,9 @@ def component_bound_aggregate(spec: GaborSystemSpec) -> dict:
     if n < 2:
         raise ValueError("aggregate check needs at least two components")
     K = spec.galerkin_dim
-    S, _ = _assemble(spec)
-    A_vec, B_vec = _extremal(S)
-    per_component = [_extremal(S[i * K:(i + 1) * K, i * K:(i + 1) * K])
+    classes, blocks, _ = _assemble(spec)
+    A_vec, B_vec = _extremal(blocks)
+    per_component = [_extremal(_restrict(classes, blocks, np.arange(n * K) // K == i))
                      for i in range(n)]
     return {
         "A_vec": A_vec,

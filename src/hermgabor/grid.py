@@ -33,7 +33,10 @@ def _checked_step(step: float) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid of ``count`` points x_j = -X + j*step covering [-X, X), X = count*step/2."""
+    """Grid of ``count`` points x_j = (j - (count-1)/2)*step, the centres of
+    ``count`` cells covering [-X, X], X = count*step/2. The points are
+    exactly symmetric under x -> -x, so the Riemann sums of the frame matrix
+    commute with the parity f(x) -> f(-x), as the exact integrals do."""
 
     step: float
     count: int
@@ -49,7 +52,7 @@ class GridSpec:
 
     @property
     def points(self) -> np.ndarray:
-        return -self.half_width + self.step * np.arange(self.count)
+        return self.step * (np.arange(self.count) - (self.count - 1) / 2.0)
 
     @classmethod
     def build(cls, max_index: int, max_modulation: float = 0.0,

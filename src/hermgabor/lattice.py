@@ -113,7 +113,11 @@ def enumeration_box(M: LatticeMatrix, radius: float,
 
 def enumerate_points(M: LatticeMatrix, radius: float,
                      budget: int = DEFAULT_POINT_BUDGET) -> LatticePointSet:
-    """All lattice points with Euclidean norm <= radius, sorted by (k1, k2)."""
+    """All lattice points with Euclidean norm <= radius, sorted by (k1, k2).
+
+    The point of -k is set to the negation of the point of k, so the set is
+    exactly symmetric under g -> -g, which the frame matrix's fold relies
+    on, however the product rounds."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     A = M.as_array()
@@ -121,5 +125,8 @@ def enumerate_points(M: LatticeMatrix, radius: float,
     k1, k2 = np.meshgrid(np.arange(-k1max, k1max + 1), np.arange(-k2max, k2max + 1),
                          indexing="ij")  # lexicographic when flattened
     pts = np.column_stack([k1.ravel(), k2.ravel()]) @ A.T
+    # the box is symmetric, so row n-1-i holds -k of row i
+    centre = pts.shape[0] // 2
+    pts[centre + 1:] = -pts[:centre][::-1]
     mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
     return LatticePointSet(points=pts[mask])

@@ -60,6 +60,48 @@ def direct_frame_matrix(spec):
     return S
 
 
+def shell_tail_bound(spec):
+    """``FrameBounds.tail_bound`` summed term by term over every point of the
+    summed lattice in the outermost shell r - 1 < |point| <= r (and in the
+    spec's box), with no symmetry used: sum |A_gamma|_F^2, A_gamma[i, m] =
+    <h_m, pi(gamma) w_i>, on the direct side, and sum ||W_mu||_F ||E_mu||_F
+    / |det M|, E_mu[a, b] = <pi(mu) h_a, h_b> and W_mu its window block, on
+    the adjoint side."""
+    from hermgabor.hermite import dilated_hermite_all
+    from hermgabor.lattice import covolume
+
+    grid = spec.grid()
+    x = grid.points
+    a = spec.window_dilation
+    K = spec.galerkin_dim
+    idx = list(spec.indices)
+    H = dilated_hermite_all(K - 1, a, x)
+    lattice = spec.summed_lattice
+    adjoint = lattice != spec.matrix
+    A = lattice.as_array()
+    kmax = int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(A), 2)))
+    k1, k2 = (k.ravel() for k in np.meshgrid(np.arange(-kmax, kmax + 1),
+                                             np.arange(-kmax, kmax + 1)))
+    g1 = A[0, 0] * k1 + A[0, 1] * k2
+    g2 = A[1, 0] * k1 + A[1, 1] * k2
+    norm = np.hypot(g1, g2)
+    shell = ((norm <= spec.radius) & (norm > spec.radius - 1.0)
+             & (np.abs(g1) <= spec.time_cutoff())
+             & (np.abs(g2) <= spec.freq_cutoff()))
+    g1, g2 = g1[shell, None], g2[shell, None]
+    phase = np.exp(2j * np.pi * g2 * (x - g1))
+    if adjoint:
+        atoms = phase * dilated_hermite_all(K - 1, a, x - g1)   # pi(mu) h_a, (K, n, N)
+        E = grid.step * (atoms @ H.T)                           # E[a, p, b]
+        W = E[idx][:, :, idx]
+        terms = (np.sqrt(np.sum(np.abs(W) ** 2, axis=(0, 2)))
+                 * np.sqrt(np.sum(np.abs(E) ** 2, axis=(0, 2))))
+        return float(np.sum(terms)) / covolume(spec.matrix)
+    atoms = phase * dilated_hermite_all(max(idx), a, x - g1)[idx]   # pi(gamma) w_i
+    coeff = grid.step * (atoms.conj() @ H.T)
+    return float(np.sum(np.abs(coeff) ** 2))
+
+
 def oscillation_oracle(F, r):
     """Pointwise sup of |F(p) - F(q)| over grid nodes q != p of the field
     with (di*hx)^2 + (dj*hxi)^2 < r^2, one offset (di, dj) at a time; F may
@@ -67,12 +109,12 @@ def oscillation_oracle(F, r):
     skipped."""
     hx, hxi = F.x_step, F.xi_step
     nx, nxi = F.values.shape
-    dx_max = int(np.ceil(r / hx))
-    dj_max = int(np.ceil(r / hxi))
+    dx_max = min(int(np.ceil(r / hx)), nx - 1)
+    dj_max = min(int(np.ceil(r / hxi)), nxi - 1)
     out = np.zeros((nx, nxi))
     for di in range(-dx_max, dx_max + 1):
         for dj in range(-dj_max, dj_max + 1):
-            if (di, dj) == (0, 0) or abs(di) >= nx or abs(dj) >= nxi:
+            if (di, dj) == (0, 0):
                 continue
             if (di * hx) ** 2 + (dj * hxi) ** 2 >= r * r:
                 continue

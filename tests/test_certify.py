@@ -14,7 +14,7 @@ from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
                        default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft, twisted_convolve,
                        window_from_indices)
-from hermgabor.certify import BOUNDARY_DECAY_TOL, _laguerre_field
+from hermgabor.certify import BOUNDARY_DECAY_TOL, _disc_rows, _laguerre_field
 from hermgabor.timefreq import WIDE_REGION_DEGREE
 
 from _oracles import full_field_certificate, oscillation_oracle
@@ -203,6 +203,20 @@ def test_oscillation_matches_offset_oracle(shape, hx, hxi, r):
     assert np.array_equal(oscillation(F, r).values, oscillation_oracle(F, r))
 
 
+@pytest.mark.parametrize("r", [10.0, 1e3])
+def test_oscillation_disc_wider_than_the_field(r):
+    # only offsets inside the field are listed, however wide the disc
+    rng = np.random.default_rng(12)
+    shape, hx, hxi = (31, 17), 0.25, 0.125
+    F = SampledField(x_axis=hx * np.arange(shape[0]),
+                     xi_axis=hxi * np.arange(shape[1]),
+                     values=rng.normal(size=shape))
+    rows = _disc_rows(hx, hxi, r, shape)
+    assert [di for di, _ in rows] == list(range(shape[0]))
+    assert max(w for _, w in rows) == shape[1] - 1
+    assert np.array_equal(oscillation(F, r).values, oscillation_oracle(F, r))
+
+
 def test_oscillation_golden(gauss_field):
     assert osc_l1(gauss_field, 0.2) == pytest.approx(GOLDEN_R_02, rel=1e-6)
 
@@ -232,6 +246,16 @@ def test_certificate_disc_wider_than_the_region():
     cert = certificate(certification_window(0), LatticeMatrix(10, 0, 0, 10))
     assert not cert.valid
     assert cert.ratio == pytest.approx(81.89, rel=1e-3)
+
+
+def test_certificate_disc_wider_than_the_whole_region():
+    # r = 707 spans the default region (17 x 5 units) many times over
+    M = LatticeMatrix(1000, 0, 0, 1000)
+    w = certification_window(0)
+    cert = certificate(w, M)
+    R, _ = full_field_certificate(w, M, default_region(0))
+    assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
+    assert not cert.valid
 
 
 def test_certificate_requires_orthonormal_components():

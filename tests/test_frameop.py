@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, FrameBounds,
                        GaborSystemSpec, LatticeMatrix,
                        assemble_frame_matrix, bounds_from_json, bounds_to_json,
                        component_bound_aggregate, frame_bounds, gl_predicate,
                        is_frame)
-from hermgabor import frameop
+from hermgabor import dilated_hermite_all, frameop
 
-from _oracles import direct_frame_matrix
+from _oracles import direct_frame_matrix, shell_tail_bound
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -57,14 +59,32 @@ def test_tail_bound_small():
         assert 0.0 < fb.tail_bound < 1e-20
 
 
+SHEARED = LatticeMatrix(0.3, 0.12, -0.05, 0.28)
+
+
+@pytest.mark.parametrize("d, M, K, kw", [
+    (0, LatticeMatrix(1.0, 0, 0, 1.0), 12, {}),
+    (0, LatticeMatrix(0.5, 0, 0, 0.5), 12, {}),
+    (0, LatticeMatrix(1.0, 0, 0, 1.0), 16, {"window_dilation": 2.0}),
+    (2, SHEARED.scaled(3.0), 16, {"window_dilation": 2.0}),
+    (0, SHEARED, 16, {"component_indices": (1, 4)}),
+])
+def test_tail_bound_matches_unfolded_shell_sum(d, M, K, kw):
+    # shells whose entries decay with the Gaussian envelope rather than
+    # cancel: an entry that cancels far below its terms' moduli is rounding
+    # noise in either sum
+    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+    ref = shell_tail_bound(spec)
+    assert ref > 0.0
+    tail = frame_bounds(spec, check_convergence=False).tail_bound
+    assert abs(tail - ref) <= 1e-12 * ref
+
+
 def test_convergence_flag():
     fb = frame_bounds(make_spec(t=0.25, K=32))
     assert fb.converged
     # K = max window index + 1 leaves no smaller nested test space
     assert not frame_bounds(make_spec(d=3, K=4)).converged
-
-
-SHEARED = LatticeMatrix(0.3, 0.12, -0.05, 0.28)
 
 
 @pytest.mark.parametrize("d", [0, 2])
@@ -91,7 +111,40 @@ def test_extremal_rejects_non_finite_matrix(bad):
     S = np.eye(4, dtype=complex)
     S[1, 2] = S[2, 1] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        frameop._extremal(S)
+        frameop._extremal([np.eye(2), S])
+
+
+@settings(deadline=None, max_examples=60)
+@given(K=st.integers(1, 32), dilation=st.floats(0.3, 3.0),
+       frac=st.floats(0.0, 1.0), angle=st.floats(0.0, 2 * math.pi))
+@example(K=2, dilation=3.0, frac=0.712, angle=0.1098)   # near the grid's end
+def test_projection_parity(K, dilation, frac, angle):
+    # E_{-mu}[a, b] = (-1)^(a+b) E_mu[a, b] for E_mu[a, b] = <pi(mu) h_a, h_b>,
+    # for mu up to the truncation radius. ||h_a|| ||h_b|| = 1 bounds each
+    # entry and the sum of its terms' moduli, so the rounding bound is
+    # absolute: an entry that cancels to 1e-17 carries the same rounding
+    spec = make_spec(K=K, window_dilation=dilation)
+    grid = spec.grid()
+    H = dilated_hermite_all(K - 1, dilation, grid.points)
+    rho = frac * spec.radius
+    mu = np.array([[rho * math.cos(angle), rho * math.sin(angle)]])
+    E, E_minus = (frameop._project(m, range(K), dilation, grid.points,
+                                   grid.step, H)[0] for m in (mu, -mu))
+    sigma = (-1.0) ** np.arange(K)
+    assert np.max(np.abs(E_minus - np.outer(sigma, sigma) * E)) <= 1e-14
+
+
+@pytest.mark.parametrize("M", [SHEARED, SHEARED.scaled(2.5)])
+def test_frame_matrix_zero_across_parity_classes(M):
+    # S commutes with (QF)_i(x) = (-1)^idx_i F_i(-x): no entry couples
+    # sigma_(i,m) = (-1)^(idx_i + m) = +1 to -1
+    spec = GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16,
+                           component_indices=(1, 4, 0))
+    S = assemble_frame_matrix(spec)
+    sigma = ((-1.0) ** np.add.outer(spec.indices, np.arange(16))).ravel()
+    cross = sigma[:, None] != sigma[None, :]
+    assert np.all(S[cross] == 0.0)
+    assert np.all(np.abs(np.diag(S)) > 0.0)
 
 
 def test_per_component_bounds_match_scalar_systems():
@@ -141,6 +194,14 @@ SIDE_CASES = [
     (0, SHEARED, 16, {"component_indices": (0, 0)}),
     (0, SHEARED.scaled(2.5), 16, {"component_indices": (0, 0)}),
     (0, LatticeMatrix(math.sqrt(0.05), 0, 0, math.sqrt(0.05)), 128, {}),
+    # windows whose components differ in parity
+    (0, SHEARED, 16, {"component_indices": (1, 4)}),
+    (0, SHEARED.scaled(2.5), 16, {"component_indices": (1, 4)}),
+    (0, SHEARED, 16, {"component_indices": (0, 3)}),
+    (0, SHEARED.scaled(2.5), 16, {"component_indices": (0, 3)}),
+    # points on both axes: the half lattice's tie-break at g1 = 0
+    (0, LatticeMatrix(0.5, 0, 0, 0.4), 16, {}),
+    (0, LatticeMatrix(0.5, 0, 0, 0.4), 32, {}),
 ]
 
 

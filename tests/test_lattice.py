@@ -151,6 +151,16 @@ def test_enumeration_box_matches_square_box(M, radius):
 
 
 @settings(deadline=None, max_examples=100)
+@given(lattices(), st.floats(min_value=0.1, max_value=6.0))
+@example(M=LatticeMatrix(0.3, 0.12, -0.05, 0.28), radius=6.0)
+def test_enumeration_symmetric_under_negation(M, radius):
+    # the point of -k is exactly the negation of the point of k, and the
+    # order by k puts it at the mirrored position
+    pts = enumerate_points(M, radius).points
+    assert np.array_equal(pts[::-1], -pts)
+
+
+@settings(deadline=None, max_examples=100)
 @given(lattices(), st.sampled_from(UNIMODULAR),
        st.floats(min_value=0.1, max_value=6.0))
 def test_enumeration_independent_of_basis(M, U, radius):
