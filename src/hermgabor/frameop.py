@@ -20,6 +20,15 @@ therefore kept as its two parity blocks, and the extremal eigenvalues come
 from two eigensolves of half the size. The Riemann sums run on a grid
 symmetric under x -> -x, so the computed sums obey the same identity to
 rounding.
+
+The grid's step is the coarsest its Nyquist guard admits,
+``grid.nyquist_step``, and ``DEFAULT_STEP`` where the guard asks for a
+finer one, which is then rejected (CapacityError). Each integrand
+h_r(x - mu1) h_m(x) e^{2 pi i mu2 x} is smooth and decays like a Gaussian,
+so by Poisson summation the error of its Riemann sum at step h is its
+Fourier transform at the nonzero multiples of 1/h. The guard puts 1/h past
+the modulation cutoff plus twice the Hermite band, where that transform is
+far below rounding (Trefethen & Weideman, SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import GridSpec
+from .grid import DEFAULT_STEP, GridSpec, nyquist_step
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
 from .hermite import dilated_hermite_all, hermite_indices
@@ -131,9 +140,13 @@ class GaborSystemSpec:
         return (joint + TRUNCATION_MARGIN) * root_a
 
     def grid(self) -> GridSpec:
-        return GridSpec.build(max_index=max(self.galerkin_dim - 1, self.max_window_index),
-                              max_modulation=self.freq_cutoff(),
-                              dilation=self.window_dilation)
+        """The quadrature grid at the step of its Nyquist guard, where that
+        is no finer than ``DEFAULT_STEP``; a finer one raises CapacityError."""
+        max_index = max(self.galerkin_dim - 1, self.max_window_index)
+        cutoff = self.freq_cutoff()
+        step = max(DEFAULT_STEP, nyquist_step(cutoff, max_index, self.window_dilation))
+        return GridSpec.build(max_index=max_index, max_modulation=cutoff,
+                              dilation=self.window_dilation, step=step)
 
     def with_dim(self, K: int) -> "GaborSystemSpec":
         return replace(self, galerkin_dim=K)
@@ -172,9 +185,10 @@ def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
     xs = x[None, :] - mu[:, 0, None]                        # (n, N)
     table = dilated_hermite_all(max(rows), a, xs)           # (max+1, n, N)
     phase = np.exp(1j * TWO_PI * mu[:, 1, None] * xs)       # (n, N)
-    V = table[list(rows)].transpose(1, 0, 2) * phase[:, None, :]
-    n, R = V.shape[:2]
-    return (step * (V.reshape(n * R, x.size) @ H.T)).reshape(n, R, H.shape[0])
+    V = table[list(rows)] * phase                           # (R, n, N)
+    R, n = V.shape[:2]
+    P = (V.reshape(R * n, x.size) @ H.T).reshape(R, n, H.shape[0])
+    return step * P.transpose(1, 0, 2)
 
 
 def _parity_classes(indices, K: int) -> tuple:

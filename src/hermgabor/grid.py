@@ -25,6 +25,18 @@ def dilation_scale(a: float) -> float:
     return abs(a)
 
 
+def _band(max_index: int, dilation: float) -> float:
+    """sqrt(2n+1)/(2 pi sqrt|a|): the frequency reach of h_{n,a}."""
+    return math.sqrt(2 * max_index + 1) / (2.0 * math.pi * math.sqrt(dilation_scale(dilation)))
+
+
+def nyquist_step(max_modulation: float, max_index: int, dilation: float = 1.0) -> float:
+    """The coarsest step the Nyquist guard admits for Hermite indices up to
+    ``max_index`` dilated by ``dilation`` and modulated up to
+    ``max_modulation``: 1/(2*(max_modulation + sqrt(2n+1)/(2 pi sqrt|a|) + 1))."""
+    return 1.0 / (2.0 * (max_modulation + _band(max_index, dilation) + 1.0))
+
+
 def _checked_step(step: float) -> float:
     if not 0 < step < math.inf:
         raise ValueError("grid step must be finite and positive")
@@ -59,8 +71,13 @@ class GridSpec:
               dilation: float = 1.0, step: float = DEFAULT_STEP) -> "GridSpec":
         """Grid sized for Hermite indices up to ``max_index`` dilated by ``dilation``.
 
-        Checks the Nyquist guard 1/(2*step) >= max_modulation + sqrt(2n+1)/(2*pi) + 1
-        against the declared capacities before returning.
+        Checks the Nyquist guard step <= ``nyquist_step(max_modulation,
+        max_index, dilation)`` against the declared capacities before
+        returning. A caller may pass that step itself: the integrands sampled
+        here are smooth and decay like Gaussians, so by Poisson summation the
+        error of their Riemann sum at step h is set by their Fourier
+        transform at 1/h, which the guard keeps far below rounding
+        (Trefethen & Weideman, SIAM Review 56, 2014).
         """
         if max_index < 0:
             raise ValueError("max_index must be nonnegative")
@@ -72,12 +89,10 @@ class GridSpec:
 
     def check_nyquist(self, max_modulation: float, max_index: int,
                       dilation: float = 1.0) -> None:
-        root_a = math.sqrt(dilation_scale(dilation))
-        band = math.sqrt(2 * max_index + 1) / (2.0 * math.pi * root_a)
-        if 1.0 / (2.0 * self.step) < max_modulation + band + 1.0:
+        if self.step > nyquist_step(max_modulation, max_index, dilation):
             raise CapacityError(
                 f"Nyquist guard violated: 1/(2*{self.step}) < "
-                f"{max_modulation} + {band:.4f} + 1")
+                f"{max_modulation} + {_band(max_index, dilation):.4f} + 1")
 
     def check_support(self, max_index: int, dilation: float = 1.0) -> None:
         need = math.sqrt(2 * max_index + 1) * math.sqrt(dilation_scale(dilation)) + SUPPORT_PAD

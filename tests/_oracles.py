@@ -26,15 +26,16 @@ def sampled_box_norm_oracle(A, rng, n_samples=10 ** 4):
     return best
 
 
-def direct_frame_matrix(spec):
+def direct_frame_matrix(spec, grid=None):
     """Galerkin frame matrix summed term by term over the lattice M(Z^2):
     S[(i,m),(j,m')] = sum_gamma <pi(gamma) w_i, h_m> <h_m', pi(gamma) w_j>,
     pi(gamma) f(x) = e^{2 pi i gamma2 (x - gamma1)} f(x - gamma1), over the
-    points of the spec's truncation disc and box, as Riemann sums on its
-    grid."""
+    points of the spec's truncation disc and box, as Riemann sums on
+    ``grid`` (the spec's own grid by default)."""
     from hermgabor.hermite import dilated_hermite_all
 
-    grid = spec.grid()
+    if grid is None:
+        grid = spec.grid()
     x = grid.points
     a = spec.window_dilation
     K = spec.galerkin_dim

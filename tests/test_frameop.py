@@ -1,9 +1,10 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, FrameBounds,
@@ -11,7 +12,8 @@ from hermgabor import (BudgetError, CapacityError, FrameBounds,
                        assemble_frame_matrix, bounds_from_json, bounds_to_json,
                        component_bound_aggregate, frame_bounds, gl_predicate,
                        is_frame)
-from hermgabor import dilated_hermite_all, frameop
+from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
+from hermgabor.grid import nyquist_step
 
 from _oracles import direct_frame_matrix, shell_tail_bound
 
@@ -212,6 +214,70 @@ def test_frame_matrix_matches_direct_sum(d, M, K, kw):
     S = assemble_frame_matrix(spec)
     B = np.linalg.eigvalsh(ref)[-1]
     assert np.max(np.abs(S - ref)) <= 1e-12 * B
+
+
+@settings(deadline=None, max_examples=10)
+@given(K=st.floats(0.0, 7.0).map(lambda u: round(2.0 ** u)),
+       d=st.integers(0, 8), dilation=st.floats(0.3, 3.0),
+       log_ratio=st.floats(-2.0, 2.0), angle=st.floats(0.0, math.pi),
+       shear=st.floats(-0.5, 0.5))
+@example(K=128, d=0, dilation=3.0, log_ratio=-2.0, angle=0.3, shear=0.2)
+def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
+                                            shear):
+    # the assembly samples at its Nyquist step; the term-by-term direct sum
+    # on the 1/32 grid is an oracle that a too coarse step would miss.
+    # K is log-uniform in 1..128, as the oracle's cost grows like K^2;
+    # |det M|^2 K / c = 2^log_ratio puts M on either side of the rule.
+    assume(K > d)
+    t = (2.0 ** log_ratio * (d + 1) / K) ** 0.25
+    c, s = math.cos(angle), math.sin(angle)
+    M = LatticeMatrix(t * c, t * (c * shear - s), t * s, t * (s * shear + c))
+    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
+                           window_dilation=dilation)
+    fine = GridSpec.build(max_index=max(K - 1, d),
+                          max_modulation=spec.freq_cutoff(),
+                          dilation=dilation, step=DEFAULT_STEP)
+    ref = direct_frame_matrix(spec, grid=fine)
+    S = assemble_frame_matrix(spec)
+    B = np.linalg.eigvalsh(ref)[-1]
+    assert np.linalg.norm(S - ref, 2) <= 1e-13 * B
+
+
+@settings(deadline=None, max_examples=200)
+@given(max_modulation=st.floats(0.0, 100.0), max_index=st.integers(0, 1000),
+       dilation=st.floats(0.01, 100.0))
+def test_nyquist_step_is_the_guard(max_modulation, max_index, dilation):
+    step = nyquist_step(max_modulation, max_index, dilation)
+    GridSpec(step=step, count=2).check_nyquist(max_modulation, max_index, dilation)
+    with pytest.raises(CapacityError, match="Nyquist"):
+        GridSpec(step=np.nextafter(step, math.inf), count=2).check_nyquist(
+            max_modulation, max_index, dilation)
+
+
+@settings(deadline=None, max_examples=200)
+@given(K=st.integers(1, 256), d=st.integers(0, 8),
+       log_dilation=st.floats(-3.0, 1.2))
+def test_spec_admission_is_the_fixed_step_guard(K, d, log_dilation):
+    # the spec admits exactly the systems whose grid could be built at
+    # DEFAULT_STEP, and samples no finer than that
+    assume(K > d)
+    dilation = math.exp(log_dilation)
+    # freq_cutoff reads only these three fields
+    cutoff = GaborSystemSpec.freq_cutoff(SimpleNamespace(
+        galerkin_dim=K, max_window_index=d, window_dilation=dilation))
+    try:
+        GridSpec.build(max_index=max(K - 1, d), max_modulation=cutoff,
+                       dilation=dilation, step=DEFAULT_STEP)
+        admitted = True
+    except CapacityError:
+        admitted = False
+    try:
+        spec = make_spec(d=d, K=K, window_dilation=dilation)
+    except CapacityError as exc:
+        assert not admitted and "Nyquist" in str(exc)
+    else:
+        assert admitted
+        assert spec.grid().step >= DEFAULT_STEP
 
 
 def test_enumerated_lattice_follows_the_rule(monkeypatch):
