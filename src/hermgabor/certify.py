@@ -25,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResolutionError
-from .grid import DEFAULT_STEP, GridSpec
-from .hermite import VectorWindow, window_from_indices
+from .hermite import VectorWindow, rescale_large
 from .lattice import LatticeMatrix, box_norm, covolume
-from .timefreq import (TWO_PI, Region, SampledField, check_region_capacity,
-                       default_region)
+from .timefreq import TWO_PI, Region, SampledField, default_region
 # not called here: perfbench/tracing.py wraps hermgabor.certify.stft (with
 # ambiguity and osc_l1), so the name must stay bound in this module
 from .timefreq import stft  # noqa: F401
@@ -40,30 +38,26 @@ BOUNDARY_DECAY_TOL = 1e-8
 NEGLIGIBLE_COLUMN = 1e-200
 
 
-def certification_grid(d: int, region: Region = None) -> GridSpec:
-    """Real-line grid wide enough to shift (h_0..h_d) across the region."""
-    if region is None:
-        region = default_region(d)
-    half = region.x_half + math.sqrt(2 * d + 1) + 8.0
-    grid = GridSpec(step=DEFAULT_STEP, count=int(math.ceil(2.0 * half / DEFAULT_STEP)))
-    grid.check_nyquist(region.xi_half, d)
-    return grid
-
-
 def certification_window(d: int, region: Region = None) -> VectorWindow:
-    """The window (h_0,...,h_d) on a grid sized by ``certification_grid``."""
-    return window_from_indices(range(d + 1), certification_grid(d, region))
+    """The window (h_0,...,h_d). A window needs no grid, so ``region`` is
+    unused; it stays because perfbench/workloads.py passes it."""
+    return VectorWindow(tuple(range(d + 1)))
 
 
 def _laguerre_field(w: VectorWindow, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """F of the window on the grid x by xi: the sum of l_n(s) over its
-    indices, by the three-term recurrence (see ``ambiguity``)."""
+    indices (see ``ambiguity``).
+
+    The three-term recurrence runs on L_n(s) = e^{s/2} l_n(s), since e^{-s/2}
+    underflows where l_n is not negligible. ``rescale_large`` keeps L_n in
+    the floats, and e^{-s/2} times the scale it kept is applied to the
+    sum."""
     a = abs(w.dilation)
-    u, v = x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0   # s = u + v
-    s = np.add.outer(u, v)
+    s = np.add.outer(x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0)
+    log_scale = -0.5 * s
     counts = np.bincount(w.indices)
     values = np.zeros_like(s)
-    ell_prev, ell = 0.0, np.multiply.outer(np.exp(-0.5 * u), np.exp(-0.5 * v))
+    ell_prev, ell = 0.0, np.ones_like(s)
     for n, count in enumerate(counts):
         if count:
             values += count * ell
@@ -73,6 +67,8 @@ def _laguerre_field(w: VectorWindow, x: np.ndarray, xi: np.ndarray) -> np.ndarra
             ell_next -= n * ell_prev
             ell_next /= n + 1
             ell_prev, ell = ell, ell_next
+            rescale_large(log_scale, ell, ell_prev, values)
+    values *= np.exp(log_scale)
     return values
 
 
@@ -89,12 +85,11 @@ def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     l_n over the window's indices, evaluated by the three-term recurrence
     (n+1) l_{n+1} = (2n+1-s) l_n - n l_{n-1}. F depends on x^2 and xi^2
     only and the region's axes are symmetric, so F is evaluated on the
-    quadrant x, xi >= 0 and unfolded. The region must fit the window's grid
-    as for ``stft`` (CapacityError otherwise).
+    quadrant x, xi >= 0 and unfolded. Nothing is sampled on the real line,
+    so every window is evaluated on every region.
     """
     if region is None:
         region = default_region(w.degree)
-    check_region_capacity(w, region)
     x, xi = region.x_axis, region.xi_axis
     nx, nxi = x.size // 2, xi.size // 2
     quadrant = _laguerre_field(w, x[nx:], xi[nxi:])
@@ -298,7 +293,6 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
         region = default_region(w.degree)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    check_region_capacity(w, region)
     x, xi = (axis[max(axis.size // 2 - 1, 0):]
              for axis in (region.x_axis, region.xi_axis))
     F = SampledField(x_axis=x, xi_axis=xi, values=_laguerre_field(w, x, xi))

@@ -228,7 +228,7 @@ def _prepare_certify(cfg: dict):
     M = _matrix(cfg)
     d = cfg.get("d", 0)
     region = default_region(d, cfg.get("region_step", REGION_STEP))
-    w = certification_window(d, region)
+    w = certification_window(d)
     check_resolution(box_norm(M), region.x_step, region.xi_step)
 
     def run():

@@ -7,6 +7,9 @@ Hermite functions are evaluated by the normalized three-term recurrence
 
 which is numerically stable for all indices used here; the Rodrigues
 form with its factorial prefactors is kept only as a small-n test oracle.
+Beyond |x| = FAR_X the start exp(-x^2/2) would lose its digits and then
+underflow, though h_n(x) need not be small there for large n, so those
+points run a rescaled recurrence (``_hermite_all_far``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,24 @@ import numpy as np
 
 from .grid import GridSpec, dilation_scale
 
+# beyond this |x|, exp(-x^2/2) < 1e-304 nears the subnormal floats
+FAR_X = math.sqrt(1400.0)
+# the step by which a rescaled recurrence divides its state: exact in
+# binary, and far from both ends of the float range
+RESCALE = 2.0 ** 500
+LOG_RESCALE = 500.0 * math.log(2.0)
+
+
+def rescale_large(log_scale: np.ndarray, lead: np.ndarray, *states) -> None:
+    """Divide ``lead`` and ``states`` by RESCALE wherever |lead| exceeds it,
+    adding its log to ``log_scale`` there, in place: so a recurrence whose
+    values outgrow the floats keeps their exponent apart."""
+    big = np.abs(lead) > RESCALE
+    if big.any():
+        for state in (lead,) + states:
+            state[big] /= RESCALE
+        log_scale[big] += LOG_RESCALE
+
 
 def _hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
     if n_max < 0:
@@ -30,6 +51,26 @@ def _hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
         out[1] = math.sqrt(2.0) * x * out[0]
     for k in range(1, n_max):
         out[k + 1] = math.sqrt(2.0 / (k + 1)) * x * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    far = np.abs(x) > FAR_X
+    if far.any():
+        # flat views: x and the table's columns may be scalars
+        out.reshape(n_max + 1, -1)[:, far.ravel()] = _hermite_all_far(n_max, x[far])
+    return out
+
+
+def _hermite_all_far(n_max: int, x: np.ndarray) -> np.ndarray:
+    """``_hermite_all`` at points x beyond FAR_X. The recurrence runs on
+    e^{x^2/2} h_k, which starts at pi^(-1/4) and is kept in the floats by
+    ``rescale_large``; each row is written with the scale it kept."""
+    out = np.empty((n_max + 1, x.size))
+    log_scale = -0.5 * x * x
+    prev, cur = np.zeros_like(x), np.full_like(x, np.pi ** (-0.25))
+    for k in range(n_max + 1):
+        out[k] = cur * np.exp(log_scale)
+        if k < n_max:
+            prev, cur = cur, (math.sqrt(2.0 / (k + 1)) * x * cur
+                              - math.sqrt(k / (k + 1.0)) * prev)
+            rescale_large(log_scale, cur, prev)
     return out
 
 
@@ -48,12 +89,19 @@ def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorWindow:
-    """Vector window whose component i is h_{indices[i], dilation}, on a
-    ``grid`` that holds its support."""
+    """Vector window whose component i is h_{indices[i], dilation}.
 
-    grid: GridSpec
+    A window is its indices and dilation alone: whatever samples it on the
+    real line sizes its own grid. The indices are kept as a tuple of ints;
+    ValueError when they are not a nonempty list of nonnegative integers,
+    or when the dilation is zero or not finite."""
+
     indices: tuple
-    dilation: float
+    dilation: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", hermite_indices(self.indices))
+        dilation_scale(self.dilation)
 
     @property
     def degree(self) -> int:
@@ -72,12 +120,6 @@ def hermite_indices(indices) -> tuple:
     if min(indices) < 0:
         raise ValueError("Hermite indices must be nonnegative")
     return indices
-
-
-def window_from_indices(indices, grid: GridSpec, dilation: float = 1.0) -> VectorWindow:
-    indices = hermite_indices(indices)
-    grid.check_support(max(indices), dilation)
-    return VectorWindow(grid=grid, indices=indices, dilation=dilation)
 
 
 def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> float:

@@ -2,9 +2,10 @@
 
 A ``Region`` is a rectangle of the (x, xi) plane with its sampling steps,
 and a ``SampledField`` holds values on its grid. ``stft`` samples the
-ambiguity function V_w w by quadrature on the window's grid; the library
-computes it in closed form (``certify.ambiguity``), and the tests use
-``stft`` as the oracle for that closed form.
+ambiguity function V_w w by quadrature on a real-line grid it sizes for the
+window and the region (windows carry no grid). The library computes the
+ambiguity function in closed form (``certify.ambiguity``), and the tests
+use ``stft`` as the oracle for that closed form.
 
 Phase convention: T_x M_xi w(t) = exp(2*pi*i*xi*(t - x)) * w(t - x).
 """
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CapacityError
+from .errors import BudgetError
+from .grid import BUILD_PAD, DEFAULT_STEP, GridSpec
 from .hermite import VectorWindow, dilated_hermite_all
 from .lattice import DEFAULT_POINT_BUDGET
 
@@ -105,29 +107,18 @@ class SampledField:
         return float(self.xi_axis[1] - self.xi_axis[0])
 
 
-def _window_support(w: VectorWindow) -> float:
-    return math.sqrt(2 * max(w.indices) + 1) * math.sqrt(abs(w.dilation))
-
-
-def check_region_capacity(window: VectorWindow, region: Region) -> None:
-    """CapacityError unless the window's grid holds every time shift of the
-    window across the region and resolves every modulation in it (Nyquist)."""
-    grid = window.grid
-    if region.x_half + _window_support(window) > grid.half_width + grid.step:
-        raise CapacityError("region time extent exceeds grid capacity")
-    grid.check_nyquist(float(region.xi_axis[-1]), max(window.indices),
-                       window.dilation)
-
-
 def stft(window: VectorWindow, region: Region) -> SampledField:
     """V_w w(x, xi) = <w, T_x M_xi w> sampled over the region, by a Riemann
-    sum on the window's grid."""
-    check_region_capacity(window, region)
-    grid = window.grid
+    sum on a step-1/32 grid that holds every time shift of the window across
+    the region; CapacityError when that step does not resolve the region's
+    modulations (Nyquist)."""
+    n, a, rows = max(window.indices), window.dilation, list(window.indices)
+    half = region.x_half + math.sqrt((2 * n + 1) * abs(a)) + BUILD_PAD
+    grid = GridSpec(step=DEFAULT_STEP, count=math.ceil(2.0 * half / DEFAULT_STEP))
+    grid.check_nyquist(float(region.xi_axis[-1]), n, a)
     x_axis = region.x_axis
     xi_axis = region.xi_axis
     t = grid.points
-    n, a, rows = max(window.indices), window.dilation, list(window.indices)
     B = np.exp(-1j * TWO_PI * np.outer(xi_axis, t))  # (n_xi, N)
     out = np.empty((x_axis.size, xi_axis.size), dtype=complex)
     wstack = dilated_hermite_all(n, a, t)[rows]  # (c, N)

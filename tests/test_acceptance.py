@@ -136,7 +136,7 @@ def test_criterion_06_certificate_soundness():
     for d, ts in ladders.items():
         L = math.ceil((math.sqrt(2 * d + 1) + 8.0) / step) * step
         region = hg.Region(x_half=L, xi_half=L, x_step=step, xi_step=step)
-        w = hg.certification_window(d, region)
+        w = hg.certification_window(d)
         for t in ts:
             M = hg.LatticeMatrix(t, 0, 0, t)
             cert = hg.certificate(w, M, region)

@@ -1,19 +1,19 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermgabor import (GaborError, GaborSystemSpec, GridSpec, LatticeMatrix,
+from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
-                       SampledField, ambiguity, box_norm, certificate,
-                       certificate_from_json, certificate_to_json,
-                       certification_grid, certification_window,
+                       SampledField, VectorWindow, ambiguity, box_norm,
+                       certificate, certificate_from_json,
+                       certificate_to_json, certification_window,
                        default_region, dilated_hermite_all, frame_bounds,
-                       osc_l1, oscillation, stft, twisted_convolve,
-                       window_from_indices)
+                       osc_l1, oscillation, stft, twisted_convolve)
 from hermgabor.certify import BOUNDARY_DECAY_TOL, _disc_rows, _laguerre_field
 from hermgabor.timefreq import WIDE_REGION_DEGREE
 
@@ -54,12 +54,8 @@ def test_gaussian_ambiguity_closed_form(gauss_field):
                          [(tuple(range(d + 1)), 1.0) for d in (0, 1, 2, 5, 12)]
                          + [((1, 3), 1.0), ((0, 1, 2), 0.5), ((0, 1, 2), 2.0)])
 def test_ambiguity_closed_form_matches_stft(indices, dilation):
-    n = max(indices)
-    region = default_region(n, step=1 / 8)
-    half = region.x_half + math.sqrt((2 * n + 1) * dilation) + 8.0
-    count = math.ceil(64 * half)
-    grid = GridSpec(step=1 / 32, count=count)
-    w = window_from_indices(indices, grid, dilation)
+    region = default_region(max(indices), step=1 / 8)
+    w = VectorWindow(indices, dilation)
     F = ambiguity(w, region).values
     V = stft(w, region)
     # the sampled STFT in the symmetric gauge
@@ -76,11 +72,8 @@ def test_ambiguity_is_even_in_x_and_xi(indices, dilation):
     # the premise of the certificate's quadrant fold: the Laguerre sum
     # evaluated over the whole region equals its own flips bit for bit, and
     # ambiguity (the unfolded quadrant) equals that whole-region sum
-    n = max(indices)
-    region = default_region(n, step=1 / 8)
-    grid = GridSpec(step=1 / 32, count=math.ceil(
-        64 * (region.x_half + math.sqrt((2 * n + 1) * dilation) + 8.0)))
-    w = window_from_indices(indices, grid, dilation)
+    region = default_region(max(indices), step=1 / 8)
+    w = VectorWindow(indices, dilation)
     full = _laguerre_field(w, region.x_axis, region.xi_axis)
     F = ambiguity(w, region).values
     for values in (full, F):
@@ -261,13 +254,13 @@ def test_certificate_disc_wider_than_the_whole_region():
 def test_certificate_requires_orthonormal_components():
     M = LatticeMatrix(0.1, 0, 0, 0.1)
     for indices in ((0, 0), (2, 0, 2)):
-        w = window_from_indices(indices, certification_grid(max(indices)))
+        w = VectorWindow(indices)
         with pytest.raises(PreconditionError, match="orthonormal"):
             certificate(w, M)
     # distinct indices at any dilation are orthonormal; the region holds
     # the ambiguity function of h_{3,2}, which is wider in x than h_3's
     region = Region(x_half=16.0, xi_half=2.0, x_step=1 / 16, xi_step=1 / 16)
-    w = window_from_indices((1, 3), certification_grid(3, region), 2.0)
+    w = VectorWindow((1, 3), 2.0)
     assert certificate(w, M, region).window_degree == 1
 
 
@@ -275,12 +268,13 @@ def test_certificate_requires_orthonormal_components():
                          + [(0, 0), (2, 0, 2)])
 def test_orthonormality_check_agrees_with_quadrature(indices):
     # the certificate checks orthonormality from the indices alone; the
-    # quadrature Gram matrix of the sampled window (a certification window
-    # for the distinct indices) is the oracle
+    # quadrature Gram matrix of the window sampled on a grid that holds it
+    # is the oracle
     n = max(indices)
-    w = window_from_indices(indices, certification_grid(n))
-    table = dilated_hermite_all(n, w.dilation, w.grid.points)[list(indices)]
-    gram = w.grid.step * (table @ table.T)
+    w = VectorWindow(indices)
+    grid = GridSpec.build(n)
+    table = dilated_hermite_all(n, w.dilation, grid.points)[list(indices)]
+    gram = grid.step * (table @ table.T)
     orthonormal = np.max(np.abs(gram - np.eye(len(indices)))) <= 1e-12
     assert orthonormal == (len(set(indices)) == len(indices))
     try:
@@ -318,18 +312,11 @@ def test_certificate_from_json_rejects_contradicting_fields(field, value):
         certificate_from_json(json.dumps(record))
 
 
-def test_ambiguity_grid_too_small_for_region():
-    tiny = Region(x_half=0.5, xi_half=0.5, x_step=0.25, xi_step=0.25)
-    w = certification_window(0, tiny)  # grid sized for the tiny region only
-    with pytest.raises(GaborError):
-        ambiguity(w)  # default region overruns the grid
-
-
 def test_certificate_rejects_region_cutting_off_the_ambiguity():
     # a half-width of 0.2 holds only the peak of the Gaussian's ambiguity
     # function; its truncated field would give R = 0.047 (valid)
     region = Region(x_half=0.2, xi_half=0.2, x_step=1 / 16, xi_step=1 / 16)
-    w = certification_window(0, region)
+    w = certification_window(0)
     with pytest.raises(PreconditionError, match="region boundary"):
         certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
 
@@ -341,7 +328,7 @@ def test_certificate_rejects_region_cutting_off_one_axis(x_half, xi_half):
     # outer row and column, which must hold both edges of the ring
     region = Region(x_half=x_half, xi_half=xi_half, x_step=1 / 16,
                     xi_step=1 / 16)
-    w = certification_window(0, region)
+    w = certification_window(0)
     F = ambiguity(w, region).values
     peak = np.abs(F).max()
     x_edge = np.abs(F[[0, -1], :]).max() / peak
@@ -377,9 +364,7 @@ def test_certificate_matches_full_field_oracle(d, dilation, step, radius,
         x_half=math.ceil(x_half * root_a / step) * step,
         xi_half=math.ceil((x_half / (2 * math.pi * root_a) + 1) / step) * step,
         x_step=step, xi_step=step)
-    grid = GridSpec(step=1 / 32, count=math.ceil(
-        64 * (region.x_half + math.sqrt(2 * d + 1) * root_a + 8.0)))
-    w = window_from_indices(range(d + 1), grid, dilation)
+    w = VectorWindow(range(d + 1), dilation)
     r = {RADII[0]: step * (1 + 1e-9),
          RADII[1]: step * (1 + 1e-9) + frac * (1.0 - step),
          RADII[2]: region.xi_half * (1.05 + 0.5 * frac)}[radius]
@@ -407,3 +392,22 @@ def test_default_region_holds_the_ambiguity(d):
     F = ambiguity(certification_window(d), region).values
     edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
     assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()
+
+
+@pytest.mark.parametrize("d", [360, 370, 1000])
+def test_ambiguity_matches_mpmath_where_the_gaussian_underflows(d):
+    # the default region reaches s = x^2/2 of 1700 to 4500, where e^{-s/2}
+    # underflows and l_n(s) does not vanish. sum_{n<=d} L_n = L_d^(1), the
+    # y = 0 case of the Laguerre convolution formula (DLMF 18.18), gives
+    # F = e^{-s/2} L_d^(1)(s) on xi = 0, in mpmath's arbitrary precision
+    x_half = default_region(d).x_half
+    region = Region(x_half=x_half, xi_half=1 / 16, x_step=x_half / 40,
+                    xi_step=1 / 16)
+    F = ambiguity(certification_window(d), region)
+    column = F.values[:, F.xi_axis.size // 2]
+    with mp.workdps(30):
+        want = np.array([float(mp.exp(-mp.mpf(x) ** 2 / 4)
+                               * mp.laguerre(d, 1, mp.mpf(x) ** 2 / 2))
+                         for x in F.x_axis])
+    assert F.x_axis[-1] == x_half
+    assert np.max(np.abs(column - want)) <= 1e-12 * (d + 1)

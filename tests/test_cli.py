@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,13 @@ def test_hermite_json(capsys):
     rec = json.loads(out)
     assert rec["n"] == 0 and len(rec["h"]) == 2
     assert rec["h"][0] == pytest.approx(3.141592653589793 ** -0.25)
+
+
+def test_hermite_where_the_gaussian_underflows(capsys):
+    # exp(-40^2/2) is 0 in float64; h_1000(40) is not (mpmath: 0.172250520733)
+    code, out, _ = run(capsys, "hermite", "--n", "1000", "--x", "40")
+    assert code == 0
+    assert json.loads(out)["h"][0] == pytest.approx(0.172250520733, abs=1e-9)
 
 
 def test_bounds_json_file(tmp_path, capsys):
@@ -104,6 +112,18 @@ def test_certify_high_degree(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert certificate_from_json(out).window_degree == 18
+
+
+def test_certify_degree_past_the_sampling_grid(capsys):
+    # the certificate samples no window on the real line, so no Nyquist
+    # guard limits its degree; a sampling grid used to reject d >= 379
+    argv = ("certify", "--d", "400", "--matrix", "0.2,0,0,0.2")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    cert = certificate_from_json(out)
+    assert cert.window_degree == 400 and math.isfinite(cert.ratio)
 
 
 def test_certify_lattice_coarser_than_the_region(capsys):

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
 
-from hermgabor import (CapacityError, GridSpec, dilated_hermite,
-                       dilated_hermite_all, hermite_operator_residual,
-                       window_from_indices)
+from hermgabor import (CapacityError, GridSpec, VectorWindow, dilated_hermite,
+                       dilated_hermite_all, hermite_operator_residual)
+from hermgabor.hermite import FAR_X
 
 
 def rodrigues_oracle(n):
@@ -31,6 +33,29 @@ def test_scalar_input_returns_float():
     # h_2(0) = -pi^{-1/4}/sqrt(2)
     assert v == pytest.approx(-np.pi ** (-0.25) / math.sqrt(2), abs=1e-14)
     assert isinstance(dilated_hermite(2, 0.5, 0.0), float)
+
+
+def mpmath_hermite(n, x):
+    """h_n(x) from the physicists' polynomial H_n in 40-digit arithmetic."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+        return float(mp.hermite(n, x) * mp.exp(-x * x / 2) / norm)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_recurrence_matches_mpmath_where_the_gaussian_underflows(n):
+    # exp(-x^2/2) is 0 in float64 beyond x ~ 38.6, well inside the
+    # oscillatory region |x| < sqrt(2n+1) of h_n; the points run through
+    # and past that turning point, on both sides of FAR_X
+    turning = math.sqrt(2 * n + 1)
+    xs = np.array([0.0, 10.0, 30.0, FAR_X - 0.01, FAR_X + 0.01, 38.0, 40.0,
+                   44.0, 50.0, turning - 1.0, turning, turning + 2.0,
+                   turning + 6.0, -40.0])
+    want = np.array([mpmath_hermite(n, x) for x in xs])
+    assert np.max(np.abs(dilated_hermite(n, 1.0, xs) - want)) <= 1e-12
+    assert dilated_hermite(n, 1.0, 40.0) == pytest.approx(
+        mpmath_hermite(n, 40.0), abs=1e-12)
 
 
 def test_eval_all_consistent_with_single():
@@ -75,17 +100,18 @@ def test_residual_quadratic_in_step():
 
 
 def test_window_construction():
-    grid = GridSpec.build(max_index=3)
-    w = window_from_indices(range(4), grid)
+    w = VectorWindow(range(4))
     assert w.degree == 3 and len(w.indices) == 4
-    assert (w.grid, w.indices, w.dilation) == (grid, (0, 1, 2, 3), 1.0)
+    assert (w.indices, w.dilation) == ((0, 1, 2, 3), 1.0)
+    assert [f.name for f in dataclasses.fields(VectorWindow)] == [
+        "indices", "dilation"]
     # frozen and hashable: equal windows are one key
-    assert {w: 1}[window_from_indices(range(4), grid)] == 1
+    assert {w: 1}[VectorWindow((0, 1, 2, 3))] == 1
+    assert VectorWindow(np.arange(2), 0.5) == VectorWindow((0, 1), 0.5)
 
 
 def test_window_duplicate_indices_allowed():
-    grid = GridSpec.build(max_index=0)
-    w = window_from_indices((0, 0), grid)
+    w = VectorWindow((0, 0))
     assert w.indices == (0, 0) and len(w.indices) == 2
 
 
@@ -98,15 +124,15 @@ def test_invalid_arguments():
             dilated_hermite(0, a, 1.0)
         with pytest.raises(ValueError, match="dilation"):
             dilated_hermite_all(2, a, grid.points)
-    # the grid's support check rejects the dilation before any use of it
-    for a in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="dilation"):
-            window_from_indices((0,), grid, a)
-    with pytest.raises(ValueError):
-        window_from_indices((), grid)
-    with pytest.raises(ValueError, match="integers"):
-        window_from_indices((0, 1.9), grid)
-    assert window_from_indices(np.arange(2), grid).indices == (0, 1)
+            VectorWindow((0,), a)
+    with pytest.raises(ValueError, match="at least one"):
+        VectorWindow(())
+    with pytest.raises(ValueError, match="nonnegative"):
+        VectorWindow((0, -1))
+    for indices in ((0, 1.9), (0, 1.0), ("0",), 3):
+        with pytest.raises(ValueError, match="integers"):
+            VectorWindow(indices)
     with pytest.raises(CapacityError):
         grid.check_support(400)
     for a in (math.inf, -math.inf, math.nan, 0.0):

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgabor import (BudgetError, GridSpec, Region, default_region, stft,
-                       window_from_indices)
+from hermgabor import (BudgetError, CapacityError, LatticeMatrix, Region,
+                       VectorWindow, ambiguity, certificate, default_region,
+                       stft)
+from hermgabor.grid import nyquist_step
 from hermgabor.lattice import DEFAULT_POINT_BUDGET
 
 
 @pytest.fixture(scope="module")
 def gauss():
-    grid = GridSpec.build(max_index=0, max_modulation=12.0)
-    return window_from_indices((0,), grid)
+    return VectorWindow((0,))
 
 
 def test_stft_isometry(gauss):
@@ -30,6 +31,29 @@ def test_stft_gaussian_modulus(gauss):
     j0 = F.x_axis.size // 2
     np.testing.assert_allclose(np.abs(F.values[j0, :]),
                                np.exp(-np.pi ** 2 * F.xi_axis ** 2), atol=1e-10)
+
+
+@pytest.mark.parametrize("dilation", [1.0, 0.25])
+def test_stft_nyquist_guard_and_the_closed_form_has_none(dilation):
+    # the step-1/32 grid of stft resolves modulations xi up to the point
+    # where xi + sqrt(2n+1)/(2 pi sqrt(a)) + 1 = 16; the closed form
+    # samples nothing
+    w = VectorWindow((0, 1, 2), dilation)
+    band = math.sqrt(5) / (2 * math.pi * math.sqrt(dilation))
+    xi_edge = math.floor(16 * (15 - band)) / 16
+    assert nyquist_step(xi_edge, 2, dilation) >= 1 / 32
+    assert nyquist_step(xi_edge + 1 / 16, 2, dilation) < 1 / 32
+    inside = Region(x_half=12.0, xi_half=xi_edge, x_step=1 / 4, xi_step=1 / 16)
+    assert stft(w, inside).values.shape == (97, inside.xi_axis.size)
+    region = Region(x_half=12.0, xi_half=xi_edge + 1 / 16, x_step=1 / 4,
+                    xi_step=1 / 16)
+    with pytest.raises(CapacityError, match="Nyquist"):
+        stft(w, region)
+    F = ambiguity(w, region)
+    assert F.values.shape == (97, region.xi_axis.size)
+    assert np.all(np.isfinite(F.values))
+    cert = certificate(w, LatticeMatrix(0.1, 0, 0, 0.1), region)
+    assert 0.0 < cert.ratio < math.inf
 
 
 def test_region_axes_symmetric():
