@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Runs every `hermgabor` line of README.md through the installed console
+# script, then a few requests at the edges of what the CLI admits. Each run
+# must exit 0 unless stated otherwise. Files the commands write land in a
+# temporary directory.
+#
+#   .github/scripts/readme-cli.sh [--validate-only]
+#
+# With --validate-only, each README line must also print exactly "ok" under
+# --validate-only before it runs.
+set -eu
+
+validate=
+case "${1-}" in
+  --validate-only) validate=1 ;;
+  "") ;;
+  *) echo "usage: $0 [--validate-only]" >&2; exit 2 ;;
+esac
+
+readme="$(cd "$(dirname "$0")/../.." && pwd)/README.md"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+grep '^hermgabor ' "$readme" | sed 's/ *#.*//' > readme-cli.txt
+test "$(wc -l < readme-cli.txt)" -ge 7
+while read -r line; do
+  if [ -n "$validate" ]; then
+    eval "$line --validate-only" < /dev/null | grep -qx ok
+  fi
+  eval "$line" < /dev/null
+done < readme-cli.txt
+
+hermgabor bounds --d 0 --matrix 0.001,0,0,0.001 --K 16
+hermgabor certify --d 18 --matrix 0.1,0,0,0.1
+hermgabor certify --d 0 --matrix 1000,0,0,1000
+# a degree whose ambiguity function underflows e^{-s/2}, past the
+# Nyquist guard of the sampling grid certificates once carried
+hermgabor certify --d 400 --matrix 0.2,0,0,0.2
+# an ambiguity field of several blocks of the Laguerre recurrence
+hermgabor certify --d 1000 --matrix 0.2,0,0,0.2
+# h_1000(40), where exp(-40^2/2) underflows (mpmath: 0.172250520733)
+hermgabor hermite --n 1000 --x 40 \
+  | python3 -c 'import json, sys; sys.exit(abs(json.load(sys.stdin)["h"][0] - 0.172250520733) > 1e-9)'
+# the finest Galerkin grid admitted (Nyquist step just above 1/32),
+# and one that needs a finer step, rejected with exit 2
+hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.13
+code=0
+hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.1 2> nyquist.txt || code=$?
+test "$code" -eq 2
+grep -q Nyquist nyquist.txt

@@ -14,10 +14,17 @@ functions (see ``ambiguity``); R is computed from the running maxima and
 minima of the real field over the oscillation disc (see ``oscillation``).
 The certificate evaluates both on one quadrant of the plane and folds their
 sums by symmetry (see ``certificate``).
+
+Only the radius r depends on the lattice. F on the quadrant, its
+boundary-decay check and its total variation depend on the window and the
+region alone, so they are computed once per window and region and kept in
+a small cache (see ``_window_field``); each lattice then costs its
+resolution check, the oscillation at its radius and a fold.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,6 +43,12 @@ BOUNDARY_DECAY_TOL = 1e-8
 # columns this far (relatively) below the field maximum cannot move any
 # float64 digit of the result
 NEGLIGIBLE_COLUMN = 1e-200
+# points per block of the Laguerre recurrence: a block's few state arrays
+# stay in a core's L2 cache through all of its steps
+_FIELD_BLOCK = 32768
+# windows (with their regions) whose certificate fields are kept: a whole
+# ladder d = 0..7 of one region
+_FIELD_CACHE_SIZE = 8
 
 
 def certification_window(d: int, region: Region = None) -> VectorWindow:
@@ -51,11 +64,23 @@ def _laguerre_field(w: VectorWindow, x: np.ndarray, xi: np.ndarray) -> np.ndarra
     The three-term recurrence runs on L_n(s) = e^{s/2} l_n(s), since e^{-s/2}
     underflows where l_n is not negligible. ``rescale_large`` keeps L_n in
     the floats, and e^{-s/2} times the scale it kept is applied to the
-    sum."""
+    sum. Every step acts point by point, so the recurrence runs over blocks
+    of rows of about _FIELD_BLOCK points, each kept in cache for all its
+    steps, and gives the same field bit for bit."""
     a = abs(w.dilation)
-    s = np.add.outer(x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0)
-    log_scale = -0.5 * s
+    sx, sxi = x * x / (2.0 * a), a * (TWO_PI * xi) ** 2 / 2.0
     counts = np.bincount(w.indices)
+    values = np.empty((sx.size, sxi.size))
+    rows = max(_FIELD_BLOCK // max(sxi.size, 1), 1)
+    for start in range(0, sx.size, rows):
+        block = slice(start, start + rows)
+        values[block] = _laguerre_sum(counts, np.add.outer(sx[block], sxi))
+    return values
+
+
+def _laguerre_sum(counts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_n counts[n] l_n(s), by the rescaled recurrence on L_n(s)."""
+    log_scale = -0.5 * s
     values = np.zeros_like(s)
     ell_prev, ell = 0.0, np.ones_like(s)
     for n, count in enumerate(counts):
@@ -197,21 +222,26 @@ def oscillation(F: SampledField, r: float) -> SampledField:
     hx, hxi = F.x_step, F.xi_step
     check_resolution(r, hx, hxi)
     nx, nxi = values.shape
-    run_max, run_min = values.copy(), values.copy()
-    disc_max, disc_min = values.copy(), values.copy()
-    width = 0
     # half-widths are nonincreasing in di: visit the rows widest last
-    for di, w in reversed(_disc_rows(hx, hxi, r, values.shape)):
-        for k in range(width + 1, w + 1):
-            for run, op in ((run_max, np.maximum), (run_min, np.minimum)):
+    rows = _disc_rows(hx, hxi, r, values.shape)[::-1]
+    # the max side, then the min side, through one run buffer
+    run = np.empty_like(values)
+    sides = []
+    for op in (np.maximum, np.minimum):
+        np.copyto(run, values)
+        disc = values.copy()
+        width = 0
+        for di, w in rows:
+            for k in range(width + 1, w + 1):
                 op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
                 op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
-        width = w
-        for s in {di, -di}:
-            dst = slice(max(-s, 0), nx - max(s, 0))
-            src = slice(max(s, 0), nx - max(-s, 0))
-            np.maximum(disc_max[dst], run_max[src], out=disc_max[dst])
-            np.minimum(disc_min[dst], run_min[src], out=disc_min[dst])
+            width = w
+            for s in {di, -di}:
+                dst = slice(max(-s, 0), nx - max(s, 0))
+                src = slice(max(s, 0), nx - max(-s, 0))
+                op(disc[dst], run[src], out=disc[dst])
+        sides.append(disc)
+    disc_max, disc_min = sides
     disc_max -= values
     np.subtract(values, disc_min, out=disc_min)
     np.maximum(disc_max, disc_min, out=disc_max)
@@ -273,6 +303,29 @@ def _fold(values: np.ndarray) -> float:
     return float(wx @ quadrant @ wxi)
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _window_field(w: VectorWindow, region: Region) -> tuple:
+    """The certificate's part that does not depend on the lattice: (F, tv),
+    the ambiguity field of w on the region's quadrant plus the row and
+    column across the axes (read-only), and its total variation over the
+    region; PreconditionError when the region cuts F off (its boundary
+    values exceed BOUNDARY_DECAY_TOL of its maximum).
+
+    Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
+    frozen values; an exception is not kept, so a region that cuts F off
+    fails on every call."""
+    x, xi = (axis[max(axis.size // 2 - 1, 0):]
+             for axis in (region.x_axis, region.xi_axis))
+    values = _laguerre_field(w, x, xi)
+    _check_boundary_decay(values, "ambiguity function", edges=(-1,))
+    F = SampledField(x_axis=x, xi_axis=xi, values=values)
+    gx, gxi = np.gradient(values, F.x_step, F.xi_step)
+    tv = F.x_step * F.xi_step * _fold(np.abs(gx) + np.abs(gxi))
+    for array in (x, xi, values):
+        array.flags.writeable = False
+    return F, tv
+
+
 def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
@@ -286,21 +339,18 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     read, and their region sums are folded from the quadrant. Mirroring a
     disc neighbour of a quadrant node across an axis moves it no farther
     from that node, so the disc needs no wider margin. By symmetry the
-    quadrant's outer row and column hold the whole boundary ring.
+    quadrant's outer row and column hold the whole boundary ring. F and its
+    total variation come from ``_window_field``, once per window and
+    region; only the oscillation depends on M.
     """
     _check_orthonormal(w)
     if region is None:
         region = default_region(w.degree)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    x, xi = (axis[max(axis.size // 2 - 1, 0):]
-             for axis in (region.x_axis, region.xi_axis))
-    F = SampledField(x_axis=x, xi_axis=xi, values=_laguerre_field(w, x, xi))
-    _check_boundary_decay(F.values, "ambiguity function", edges=(-1,))
+    F, tv = _window_field(w, region)
     h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
     R = h2 * _fold(oscillation(F, r).values)
-    gx, gxi = np.gradient(F.values, F.x_step, F.xi_step)
-    tv = h2 * _fold(np.abs(gx) + np.abs(gxi))
     return Certificate(ratio=R, matrix=M, window_degree=w.degree,
                        eps_disc=2.0 * F.x_step * tv / covolume(M))
 

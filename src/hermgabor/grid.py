@@ -11,8 +11,10 @@ from .errors import CapacityError
 
 DEFAULT_STEP = 1.0 / 32.0
 
-# padding (in time units) beyond the classical oscillator support
-# sqrt(2n+1); Gaussian tails are below 1e-14 past +6
+# padding beyond the classical oscillator support sqrt(2n+1), in time units
+# up to dilation 1; Gaussian tails are below 1e-14 past +6. The tails of
+# h_{n,a} decay like e^{-x^2/(2|a|)}, so past dilation 1 both pads are
+# scaled by sqrt|a|
 SUPPORT_PAD = 6.0
 BUILD_PAD = 8.0
 MIN_HALF_WIDTH = 12.0
@@ -82,7 +84,8 @@ class GridSpec:
         if max_index < 0:
             raise ValueError("max_index must be nonnegative")
         root_a = math.sqrt(dilation_scale(dilation))
-        half = max(math.sqrt(2 * max_index + 1) * root_a + BUILD_PAD, MIN_HALF_WIDTH)
+        half = max(math.sqrt(2 * max_index + 1) * root_a
+                   + BUILD_PAD * max(root_a, 1.0), MIN_HALF_WIDTH)
         grid = cls(step=step, count=int(math.ceil(2.0 * half / _checked_step(step))))
         grid.check_nyquist(max_modulation, max_index, dilation)
         return grid
@@ -95,7 +98,8 @@ class GridSpec:
                 f"{max_modulation} + {_band(max_index, dilation):.4f} + 1")
 
     def check_support(self, max_index: int, dilation: float = 1.0) -> None:
-        need = math.sqrt(2 * max_index + 1) * math.sqrt(dilation_scale(dilation)) + SUPPORT_PAD
+        root_a = math.sqrt(dilation_scale(dilation))
+        need = math.sqrt(2 * max_index + 1) * root_a + SUPPORT_PAD * max(root_a, 1.0)
         if need > self.half_width:
             raise CapacityError(
                 f"Hermite index {max_index} (dilation {dilation}) needs half_width "

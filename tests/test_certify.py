@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hermgabor.certify as certify_module
 from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, VectorWindow, ambiguity, box_norm,
@@ -14,7 +15,8 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        certificate_to_json, certification_window,
                        default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft, twisted_convolve)
-from hermgabor.certify import BOUNDARY_DECAY_TOL, _disc_rows, _laguerre_field
+from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
+                               _disc_rows, _laguerre_field, _window_field)
 from hermgabor.timefreq import WIDE_REGION_DEGREE
 
 from _oracles import full_field_certificate, oscillation_oracle
@@ -317,8 +319,10 @@ def test_certificate_rejects_region_cutting_off_the_ambiguity():
     # function; its truncated field would give R = 0.047 (valid)
     region = Region(x_half=0.2, xi_half=0.2, x_step=1 / 16, xi_step=1 / 16)
     w = certification_window(0)
-    with pytest.raises(PreconditionError, match="region boundary"):
-        certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
+    # the failure is not cached: the second call checks the field again
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="region boundary"):
+            certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
 
 
 @pytest.mark.parametrize("x_half, xi_half", [(12.0, 0.5), (2.0, 3.0)])
@@ -336,6 +340,91 @@ def test_certificate_rejects_region_cutting_off_one_axis(x_half, xi_half):
     assert min(x_edge, xi_edge) <= BOUNDARY_DECAY_TOL < max(x_edge, xi_edge)
     with pytest.raises(PreconditionError, match="region boundary"):
         certificate(w, LatticeMatrix(0.1, 0, 0, 0.1), region)
+
+
+def test_repeated_certificates_are_bit_identical():
+    # the first call builds the window's field, the others reuse it; a
+    # certificate from a rebuilt field is the same to the last bit
+    w, region = certification_window(1), default_region(1)
+    lattices = [LatticeMatrix(0.1, 0, 0, 0.1),
+                LatticeMatrix(0.24, 0.096, -0.04, 0.224)]
+    _window_field.cache_clear()
+    first = [certificate(w, M, region) for M in lattices]
+    # equal windows and regions built anew hit the same entry
+    again = [certificate(certification_window(1), M, default_region(1))
+             for M in lattices]
+    info = _window_field.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    _window_field.cache_clear()
+    rebuilt = [certificate(w, M, region) for M in lattices]
+    for M, a, b, c in zip(lattices, first, again, rebuilt):
+        assert a == b == c   # ratio and eps_disc included
+        R, eps = full_field_certificate(w, M, region)
+        assert a.ratio == pytest.approx(R, rel=1e-13, abs=0)
+        assert a.eps_disc == pytest.approx(eps, rel=1e-13, abs=0)
+
+
+def test_field_cache_keys_on_the_window_and_the_region():
+    # dilation, index order and region step each make their own entry
+    region = default_region(1)
+    keys = [(VectorWindow((0, 1)), region),
+            (VectorWindow((0, 1), 0.5), region),
+            (VectorWindow((1, 0)), region),
+            (VectorWindow((0, 1)), default_region(1, step=1 / 32))]
+    M = LatticeMatrix(0.2, 0, 0, 0.2)
+    _window_field.cache_clear()
+    certs = [certificate(w, M, reg) for w, reg in keys]
+    assert _window_field.cache_info().currsize == len(keys)
+    fields = [_window_field(w, reg)[0] for w, reg in keys]
+    assert _window_field.cache_info().misses == len(keys)
+    assert not np.array_equal(fields[1].values, fields[0].values)
+    assert np.array_equal(fields[2].values, fields[0].values)
+    assert fields[3].values.shape != fields[0].values.shape
+    assert certs[2] == certs[0]
+    assert certs[1].ratio != certs[0].ratio != certs[3].ratio
+
+
+def test_cached_field_is_read_only():
+    # every caller shares the cached arrays, so none may write to them
+    F, tv = _window_field(certification_window(0), default_region(0))
+    for array in (F.values, F.x_axis, F.xi_axis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert tv > 0
+
+
+def test_field_cache_stays_bounded():
+    n = _FIELD_CACHE_SIZE + 3
+    region = default_region(n, step=1 / 4)
+    M = LatticeMatrix(0.5, 0, 0, 0.5)
+    _window_field.cache_clear()
+    for k in range(n):
+        certificate(VectorWindow((k,)), M, region)
+    info = _window_field.cache_info()
+    assert (info.misses, info.currsize) == (n, _FIELD_CACHE_SIZE)
+    # the oldest windows were dropped, the newest kept
+    certificate(VectorWindow((n - 1,)), M, region)
+    certificate(VectorWindow((0,)), M, region)
+    info = _window_field.cache_info()
+    assert (info.hits, info.misses) == (1, n + 1)
+
+
+@pytest.mark.parametrize("w, x, xi, rows", [
+    # the whole default region of d = 40 runs in several blocks of rows
+    (certification_window(40), default_region(40).x_axis,
+     default_region(40).xi_axis, None),
+    # L_n outgrows the floats (x^2 / 2 > 690); blocks of 7 rows with a
+    # shorter last one
+    (VectorWindow((0, 7, 300), 1.3), np.arange(0.0, 60.0, 0.25),
+     np.arange(0.0, 3.0, 0.1), 7)])
+def test_laguerre_field_blocks_match_one_block(monkeypatch, w, x, xi, rows):
+    if rows is not None:
+        monkeypatch.setattr(certify_module, "_FIELD_BLOCK", rows * xi.size + 3)
+    assert x.size * xi.size >= 3 * certify_module._FIELD_BLOCK
+    blocked = _laguerre_field(w, x, xi)
+    monkeypatch.setattr(certify_module, "_FIELD_BLOCK", x.size * xi.size)
+    assert np.array_equal(blocked, _laguerre_field(w, x, xi))
+    assert np.isfinite(blocked).all() and np.abs(blocked).max() > 0
 
 
 RADII = ("just above the step", "inside the region", "wider than the xi half")

@@ -222,6 +222,10 @@ def test_frame_matrix_matches_direct_sum(d, M, K, kw):
        log_ratio=st.floats(-2.0, 2.0), angle=st.floats(0.0, math.pi),
        shear=st.floats(-0.5, 0.5))
 @example(K=128, d=0, dilation=3.0, log_ratio=-2.0, angle=0.3, shear=0.2)
+# M = I and M = (2/3)^(1/4) I at dilation 3, where a grid padded by a fixed
+# width (not one scaled like the window's tails) cut the integrands off
+@example(K=2, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
+@example(K=3, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
 def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
                                             shear):
     # the assembly samples at its Nyquist step; the term-by-term direct sum
