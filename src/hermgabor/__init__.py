@@ -8,19 +8,16 @@ tightness scans / scaling-law probes over lattice ladders (`scan`).
 from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
                      PreconditionError, ResolutionError)
 from .grid import DEFAULT_STEP, GridSpec
-from .hermite import (VectorWindow, dilated_hermite, dilated_hermite_all,
-                      hermite_operator_residual)
+from .hermite import VectorWindow, dilated_hermite, dilated_hermite_all
 from .lattice import (LatticeMatrix, LatticePointSet, box_norm, covolume,
                       enumerate_points)
 from .timefreq import Region, SampledField, default_region, stft
-from .frameop import (FrameBounds, GaborSystemSpec, assemble_frame_matrix,
-                      bounds_from_json, bounds_to_json,
-                      component_bound_aggregate, frame_bounds, gl_predicate,
-                      is_frame)
+from .frameop import (FrameBounds, GaborSystemSpec, bounds_from_json,
+                      bounds_to_json, component_bound_aggregate, frame_bounds,
+                      gl_predicate, is_frame)
 from .certify import (Certificate, ambiguity, certificate,
                       certificate_from_json, certificate_to_json,
-                      certification_window, osc_l1, oscillation,
-                      twisted_convolve)
+                      certification_window, osc_l1, oscillation)
 from .scan import (ScanRecord, SqrtLawRow, dilation_covariance_check,
                    estimate_cstar, records_to_csv, sqrt_law_probe,
                    tightness_scan)
@@ -32,16 +29,14 @@ __all__ = [
     "PreconditionError", "ResolutionError",
     "DEFAULT_STEP", "GridSpec",
     "VectorWindow", "dilated_hermite", "dilated_hermite_all",
-    "hermite_operator_residual",
     "LatticeMatrix", "LatticePointSet", "box_norm", "covolume",
     "enumerate_points",
     "Region", "SampledField", "default_region", "stft",
-    "FrameBounds", "GaborSystemSpec", "assemble_frame_matrix",
-    "bounds_from_json", "bounds_to_json", "component_bound_aggregate",
-    "frame_bounds", "gl_predicate", "is_frame",
+    "FrameBounds", "GaborSystemSpec", "bounds_from_json", "bounds_to_json",
+    "component_bound_aggregate", "frame_bounds", "gl_predicate", "is_frame",
     "Certificate", "ambiguity", "certificate", "certificate_from_json",
     "certificate_to_json", "certification_window",
-    "osc_l1", "oscillation", "twisted_convolve",
+    "osc_l1", "oscillation",
     "ScanRecord", "SqrtLawRow", "dilation_covariance_check",
     "estimate_cstar", "records_to_csv", "sqrt_law_probe", "tightness_scan",
     "__version__",

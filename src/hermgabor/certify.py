@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +33,12 @@ import numpy as np
 from .errors import PreconditionError, ResolutionError
 from .hermite import VectorWindow, rescale_large
 from .lattice import LatticeMatrix, box_norm, covolume
-from .timefreq import TWO_PI, Region, SampledField, default_region
+from .timefreq import TWO_PI, Region, SampledField, _dilated_region
 # not called here: perfbench/tracing.py wraps hermgabor.certify.stft (with
 # ambiguity and osc_l1), so the name must stay bound in this module
 from .timefreq import stft  # noqa: F401
 
 BOUNDARY_DECAY_TOL = 1e-8
-# columns this far (relatively) below the field maximum cannot move any
-# float64 digit of the result
-NEGLIGIBLE_COLUMN = 1e-200
 # points per block of the Laguerre recurrence: a block's few state arrays
 # stay in a core's L2 cache through all of its steps
 _FIELD_BLOCK = 32768
@@ -98,7 +94,8 @@ def _laguerre_sum(counts: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
-    """Ambiguity function of the vector window over the region grid.
+    """Ambiguity function of the vector window over the region grid (by
+    default the window's ``default_region``, stretched for its dilation).
 
     Values carry the symmetric time-frequency gauge, F(x,xi) =
     e^{-i*pi*x*xi} <f, T_x M_xi f>: in this gauge (and only in it) the range
@@ -114,7 +111,7 @@ def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     so every window is evaluated on every region.
     """
     if region is None:
-        region = default_region(w.degree)
+        region = _dilated_region(w.degree, w.dilation)
     x, xi = region.x_axis, region.xi_axis
     nx, nxi = x.size // 2, xi.size // 2
     quadrant = _laguerre_field(w, x[nx:], xi[nxi:])
@@ -122,63 +119,6 @@ def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     mirror = np.ix_(np.abs(np.arange(-nx, nx + 1)),
                     np.abs(np.arange(-nxi, nxi + 1)))
     return SampledField(x_axis=x, xi_axis=xi, values=quadrant[mirror])
-
-
-def _check_boundary_decay(values: np.ndarray, name: str, edges=(0, -1)) -> None:
-    """PreconditionError unless the field's rows and columns at ``edges``
-    stay below BOUNDARY_DECAY_TOL of its maximum."""
-    a = np.abs(values)
-    vmax = float(a.max())
-    ring = max(a[list(edges), :].max(), a[:, list(edges)].max())
-    if ring > BOUNDARY_DECAY_TOL * vmax:
-        raise PreconditionError(
-            f"{name} does not decay below {BOUNDARY_DECAY_TOL} at the region "
-            f"boundary (relative ring maximum {ring / vmax:.3g})")
-
-
-def twisted_convolve(G: SampledField, F: SampledField) -> SampledField:
-    """(G # F)(x,xi) = sum G(x',xi') F(x-x', xi-xi') e^{i*pi*(x*xi' - x'*xi)} h^2.
-
-    The symplectic phase splits as e^{i*pi*x*xi'} * e^{-i*pi*x'*xi}, so for
-    each source column xi' the remaining sum is an ordinary convolution in x
-    of a chirped copy of that column against the rows of F; those are done
-    with FFTs, which reproduces the direct Riemann sum to rounding.
-    """
-    if G.values.shape != F.values.shape or \
-            not np.allclose(G.x_axis, F.x_axis) or \
-            not np.allclose(G.xi_axis, F.xi_axis):
-        raise ValueError("twisted convolution requires identical axes")
-    _check_boundary_decay(G.values, "first field")
-    _check_boundary_decay(F.values, "second field")
-    x = G.x_axis
-    xi = G.xi_axis
-    nx, nxi = G.values.shape
-    hx, hxi = G.x_step, G.xi_step
-    ic = int(np.argmin(np.abs(x)))   # index of x = 0
-    jc = int(np.argmin(np.abs(xi)))  # index of xi = 0
-    nfft = 2 * nx
-
-    W = np.exp(-1j * math.pi * np.outer(x, xi))     # e^{-i pi x' xi}
-    Fhat = np.fft.fft(F.values, n=nfft, axis=0)     # per xi column
-    out = np.zeros((nx, nxi), dtype=complex)
-    gmax = float(np.max(np.abs(G.values)))
-    col_max = np.max(np.abs(G.values), axis=0)
-    for j in range(nxi):
-        if col_max[j] <= NEGLIGIBLE_COLUMN * gmax:
-            continue
-        U = G.values[:, j][:, None] * W             # (nx, nxi)
-        Uhat = np.fft.fft(U, n=nfft, axis=0)
-        # output column i_xi needs F column i_xi - (j - jc)
-        s = j - jc
-        Fsh = np.zeros((nfft, nxi), dtype=complex)
-        if s >= 0:
-            Fsh[:, s:] = Fhat[:, :nxi - s]
-        else:
-            Fsh[:, :nxi + s] = Fhat[:, -s:]
-        conv = np.fft.ifft(Uhat * Fsh, axis=0)[ic:ic + nx, :]
-        out += np.exp(1j * math.pi * xi[j] * x)[:, None] * conv
-    out *= hx * hxi
-    return SampledField(x_axis=x.copy(), xi_axis=xi.copy(), values=out)
 
 
 def _disc_rows(hx: float, hxi: float, r: float, shape: tuple) -> list:
@@ -314,10 +254,14 @@ def _window_field(w: VectorWindow, region: Region) -> tuple:
     Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
     frozen values; an exception is not kept, so a region that cuts F off
     fails on every call."""
-    x, xi = (axis[max(axis.size // 2 - 1, 0):]
-             for axis in (region.x_axis, region.xi_axis))
+    x, xi = (axis[axis.size // 2 - 1:] for axis in (region.x_axis, region.xi_axis))
     values = _laguerre_field(w, x, xi)
-    _check_boundary_decay(values, "ambiguity function", edges=(-1,))
+    vmax = np.abs(values).max()
+    ring = max(np.abs(values[-1]).max(), np.abs(values[:, -1]).max())
+    if ring > BOUNDARY_DECAY_TOL * vmax:
+        raise PreconditionError(
+            f"ambiguity function does not decay below {BOUNDARY_DECAY_TOL} at "
+            f"the region boundary (relative ring maximum {ring / vmax:.3g})")
     F = SampledField(x_axis=x, xi_axis=xi, values=values)
     gx, gxi = np.gradient(values, F.x_step, F.xi_step)
     tv = F.x_step * F.xi_step * _fold(np.abs(gx) + np.abs(gxi))
@@ -330,8 +274,8 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
     the ambiguity field of the orthonormal window w over the region (default
-    region when None); PreconditionError when the region cuts that field off
-    (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
+    as in ``ambiguity``); PreconditionError when the region cuts that field
+    off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
 
     F is even in x and in xi (see ``ambiguity``), so F, its oscillation and
     its gradient are evaluated on the quadrant x, xi >= 0 plus the row and
@@ -345,7 +289,7 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     """
     _check_orthonormal(w)
     if region is None:
-        region = default_region(w.degree)
+        region = _dilated_region(w.degree, w.dilation)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
     F, tv = _window_field(w, region)

@@ -274,17 +274,6 @@ def _assemble(spec: GaborSystemSpec):
     return classes, blocks, tail
 
 
-def assemble_frame_matrix(spec: GaborSystemSpec) -> np.ndarray:
-    """Hermitian PSD Galerkin compression of the frame operator, in (i, m)
-    order; its entries between the two parity classes are exactly 0."""
-    classes, blocks, _ = _assemble(spec)
-    dim = len(spec.indices) * spec.galerkin_dim
-    S = np.zeros((dim, dim), dtype=complex)
-    for cls, block in zip(classes, blocks):
-        S[np.ix_(cls, cls)] = block
-    return S
-
-
 def _restrict(classes, blocks, keep: np.ndarray) -> list:
     """The parity blocks of the principal sub-matrix at the positions
     i*K + m where ``keep`` is True."""

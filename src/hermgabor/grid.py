@@ -12,10 +12,9 @@ from .errors import CapacityError
 DEFAULT_STEP = 1.0 / 32.0
 
 # padding beyond the classical oscillator support sqrt(2n+1), in time units
-# up to dilation 1; Gaussian tails are below 1e-14 past +6. The tails of
-# h_{n,a} decay like e^{-x^2/(2|a|)}, so past dilation 1 both pads are
-# scaled by sqrt|a|
-SUPPORT_PAD = 6.0
+# up to dilation 1; Gaussian tails are below 1e-14 past +6, so +8 leaves a
+# margin. The tails of h_{n,a} decay like e^{-x^2/(2|a|)}, so past dilation
+# 1 the pad is scaled by sqrt|a|
 BUILD_PAD = 8.0
 MIN_HALF_WIDTH = 12.0
 
@@ -61,10 +60,6 @@ class GridSpec:
             raise ValueError("grid needs at least 2 points")
 
     @property
-    def half_width(self) -> float:
-        return self.count * self.step / 2.0
-
-    @property
     def points(self) -> np.ndarray:
         return self.step * (np.arange(self.count) - (self.count - 1) / 2.0)
 
@@ -96,11 +91,3 @@ class GridSpec:
             raise CapacityError(
                 f"Nyquist guard violated: 1/(2*{self.step}) < "
                 f"{max_modulation} + {_band(max_index, dilation):.4f} + 1")
-
-    def check_support(self, max_index: int, dilation: float = 1.0) -> None:
-        root_a = math.sqrt(dilation_scale(dilation))
-        need = math.sqrt(2 * max_index + 1) * root_a + SUPPORT_PAD * max(root_a, 1.0)
-        if need > self.half_width:
-            raise CapacityError(
-                f"Hermite index {max_index} (dilation {dilation}) needs half_width "
-                f">= {need:.2f}, grid has {self.half_width:.2f}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, dilation_scale
+from .grid import dilation_scale
 
 # beyond this |x|, exp(-x^2/2) < 1e-304 nears the subnormal floats
 FAR_X = math.sqrt(1400.0)
@@ -120,19 +120,3 @@ def hermite_indices(indices) -> tuple:
     if min(indices) < 0:
         raise ValueError("Hermite indices must be nonnegative")
     return indices
-
-
-def hermite_operator_residual(n: int, grid: GridSpec, dilation: float = 1.0) -> float:
-    """Relative residual of x^2 h - a^2 h'' - |a|(2n+1) h on interior grid points.
-
-    Second derivatives use centered differences; the two boundary points are
-    excluded from the norm. For dilation 1 this is the plain eigenrelation
-    H h_n = (2n+1) h_n.
-    """
-    grid.check_support(n, dilation)
-    x = grid.points
-    h = dilated_hermite(n, dilation, x)
-    d2 = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / grid.step ** 2
-    a = abs(dilation)
-    res = x[1:-1] ** 2 * h[1:-1] - a * a * d2 - a * (2 * n + 1) * h[1:-1]
-    return float(np.linalg.norm(res) / np.linalg.norm(h[1:-1]))

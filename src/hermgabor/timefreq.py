@@ -31,7 +31,8 @@ WIDE_REGION_DEGREE = 6
 @dataclass(frozen=True)
 class Region:
     """Rectangular sampling region [-x_half, x_half] x [-xi_half, xi_half];
-    BudgetError when it has more than DEFAULT_POINT_BUDGET samples."""
+    ValueError when a half does not exceed half its step (an axis of one
+    node), BudgetError when it has more than DEFAULT_POINT_BUDGET samples."""
 
     x_half: float
     xi_half: float
@@ -45,6 +46,8 @@ class Region:
         # the axis sizes, as floats: a huge half over a tiny step is inf
         nx, nxi = (2 * float(np.rint(half / step)) + 1 for half, step in
                    ((self.x_half, self.x_step), (self.xi_half, self.xi_step)))
+        if min(nx, nxi) < 3:
+            raise ValueError("region half must exceed half its step")
         if nx * nxi > DEFAULT_POINT_BUDGET:
             raise BudgetError(f"region of {nx:.0f}x{nxi:.0f} samples exceeds "
                               f"point budget {DEFAULT_POINT_BUDGET}")
@@ -61,22 +64,29 @@ class Region:
 
 
 def default_region(d: int, step: float = REGION_STEP) -> Region:
-    """STFT region [-L_x, L_x] x [-L_xi, L_xi], both halves rounded up to a
-    multiple of ``step``.
+    """``_dilated_region`` at a = 1: the certificate region of (h_0,...,h_d)."""
+    return _dilated_region(d, 1.0, step)
+
+
+def _dilated_region(d: int, dilation: float, step: float = REGION_STEP) -> Region:
+    """Certificate region [-L_x sqrt|a|, L_x sqrt|a|] x [-L_xi, L_xi] of the
+    window (h_{0,a},...,h_{d,a}), both halves rounded up to a multiple of
+    ``step``.
 
     L_x = sqrt(2d+1) + 8, widened to 2 sqrt(2d+1) + 5 from d =
     WIDE_REGION_DEGREE on: there the ambiguity function of (h_0..h_d) still
     exceeds 1e-8 of its maximum at sqrt(2d+1) + 8 (below 1e-9 at the widened
-    edge). It depends on (x, xi) only through x^2 + (2 pi xi)^2, so it has
-    decayed as far at L_x / (2 pi) in xi; L_xi adds 1 to that, keeping an
-    oscillation disc of radius up to 1 inside the region."""
+    edge). It depends on (x, xi) only through x^2/a + a (2 pi xi)^2 (see
+    ``certify.ambiguity``), so it has decayed as far at L_x / (2 pi sqrt|a|)
+    in xi; L_xi adds 1 to that, keeping an oscillation disc of radius up to
+    1 inside the region."""
     if d < 0 or not 0 < step < math.inf:
         raise ValueError("default_region needs d >= 0 and a finite step > 0")
-    root = math.sqrt(2 * d + 1)
+    root, root_a = math.sqrt(2 * d + 1), math.sqrt(abs(dilation))
     x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else root + 8.0
-    xi_half = x_half / TWO_PI + 1.0
-    return Region(x_half=_round_up(x_half, step),
-                  xi_half=_round_up(xi_half, step), x_step=step, xi_step=step)
+    return Region(x_half=_round_up(x_half * root_a, step),
+                  xi_half=_round_up(x_half / (TWO_PI * root_a) + 1.0, step),
+                  x_step=step, xi_step=step)
 
 
 def _round_up(half: float, step: float) -> float:

@@ -140,3 +140,87 @@ def full_field_certificate(w, M, region):
     gx, gxi = np.gradient(F.values, F.x_axis, F.xi_axis)
     tv = F.x_step * F.xi_step * float(np.sum(np.abs(gx) + np.abs(gxi)))
     return R, 2.0 * F.x_step * tv / covolume(M)
+
+
+def hermite_operator_residual(n, grid, dilation=1.0):
+    """Relative residual of x^2 h - a^2 h'' - |a|(2n+1) h, h = h_{n,a}, on
+    the interior points of ``grid``, which must hold h's support (a grid
+    from ``GridSpec.build(max_index >= n, dilation=a)`` does). Second
+    derivatives are centered differences; the two boundary points are left
+    out of the norm. For dilation 1 this is the plain eigenrelation
+    H h_n = (2n+1) h_n."""
+    from hermgabor import dilated_hermite
+
+    x = grid.points
+    h = dilated_hermite(n, dilation, x)
+    d2 = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / grid.step ** 2
+    a = abs(dilation)
+    res = x[1:-1] ** 2 * h[1:-1] - a * a * d2 - a * (2 * n + 1) * h[1:-1]
+    return float(np.linalg.norm(res) / np.linalg.norm(h[1:-1]))
+
+
+def assemble_frame_matrix(spec):
+    """The library's Galerkin frame matrix as one Hermitian array in (i, m)
+    order, from its two parity blocks; the entries between the two parity
+    classes are exactly 0."""
+    from hermgabor.frameop import _assemble
+
+    classes, blocks, _ = _assemble(spec)
+    dim = len(spec.indices) * spec.galerkin_dim
+    S = np.zeros((dim, dim), dtype=complex)
+    for cls, block in zip(classes, blocks):
+        S[np.ix_(cls, cls)] = block
+    return S
+
+
+def twisted_convolve(G, F):
+    """(G # F)(x,xi) = sum G(x',xi') F(x-x', xi-xi') e^{i*pi*(x*xi' - x'*xi)} h^2
+    over two fields on the same axes; ValueError when the axes differ and
+    PreconditionError when either field has not decayed below
+    BOUNDARY_DECAY_TOL of its maximum on the outer rows and columns.
+
+    The symplectic phase splits as e^{i*pi*x*xi'} * e^{-i*pi*x'*xi}, so for
+    each source column xi' the remaining sum is an ordinary convolution in x
+    of a chirped copy of that column against the rows of F; those are done
+    with FFTs, which reproduces the direct Riemann sum to rounding. Source
+    columns below 1e-200 of G's maximum cannot move a float64 digit of the
+    result and are skipped."""
+    from hermgabor import PreconditionError, SampledField
+    from hermgabor.certify import BOUNDARY_DECAY_TOL
+
+    if G.values.shape != F.values.shape or \
+            not np.allclose(G.x_axis, F.x_axis) or \
+            not np.allclose(G.xi_axis, F.xi_axis):
+        raise ValueError("twisted convolution requires identical axes")
+    for name, field in (("first field", G), ("second field", F)):
+        a = np.abs(field.values)
+        ring = max(a[[0, -1], :].max(), a[:, [0, -1]].max())
+        if ring > BOUNDARY_DECAY_TOL * a.max():
+            raise PreconditionError(f"{name} does not decay at the region boundary")
+    x = G.x_axis
+    xi = G.xi_axis
+    nx, nxi = G.values.shape
+    ic = int(np.argmin(np.abs(x)))   # index of x = 0
+    jc = int(np.argmin(np.abs(xi)))  # index of xi = 0
+    nfft = 2 * nx
+
+    W = np.exp(-1j * np.pi * np.outer(x, xi))       # e^{-i pi x' xi}
+    Fhat = np.fft.fft(F.values, n=nfft, axis=0)     # per xi column
+    out = np.zeros((nx, nxi), dtype=complex)
+    col_max = np.max(np.abs(G.values), axis=0)
+    for j in range(nxi):
+        if col_max[j] <= 1e-200 * col_max.max():
+            continue
+        U = G.values[:, j][:, None] * W             # (nx, nxi)
+        Uhat = np.fft.fft(U, n=nfft, axis=0)
+        # output column i_xi needs F column i_xi - (j - jc)
+        s = j - jc
+        Fsh = np.zeros((nfft, nxi), dtype=complex)
+        if s >= 0:
+            Fsh[:, s:] = Fhat[:, :nxi - s]
+        else:
+            Fsh[:, :nxi + s] = Fhat[:, -s:]
+        conv = np.fft.ifft(Uhat * Fsh, axis=0)[ic:ic + nx, :]
+        out += np.exp(1j * np.pi * xi[j] * x)[:, None] * conv
+    out *= G.x_step * G.xi_step
+    return SampledField(x_axis=x.copy(), xi_axis=xi.copy(), values=out)

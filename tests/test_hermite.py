@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermgabor import (CapacityError, GridSpec, VectorWindow, dilated_hermite,
-                       dilated_hermite_all, hermite_operator_residual)
+from hermgabor import GridSpec, VectorWindow, dilated_hermite, dilated_hermite_all
 from hermgabor.hermite import FAR_X
+
+from _oracles import hermite_operator_residual
 
 
 def rodrigues_oracle(n):
@@ -133,8 +134,6 @@ def test_invalid_arguments():
     for indices in ((0, 1.9), (0, 1.0), ("0",), 3):
         with pytest.raises(ValueError, match="integers"):
             VectorWindow(indices)
-    with pytest.raises(CapacityError):
-        grid.check_support(400)
     for a in (math.inf, -math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="finite"):
             GridSpec.build(0, dilation=a)

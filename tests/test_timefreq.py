@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, LatticeMatrix, Region,
                        VectorWindow, ambiguity, certificate, default_region,
-                       stft)
+                       osc_l1, stft)
 from hermgabor.grid import nyquist_step
 from hermgabor.lattice import DEFAULT_POINT_BUDGET
 
@@ -68,7 +68,12 @@ def test_region_axes_symmetric():
 def test_region_axes_are_mirror_images(x_half, xi_half, x_step, xi_step):
     # the certificate folds its sums from one quadrant: each axis must be
     # its own negated reverse exactly, for any step (-0.0 == 0.0)
-    r = Region(x_half=x_half, xi_half=xi_half, x_step=x_step, xi_step=xi_step)
+    params = dict(x_half=x_half, xi_half=xi_half, x_step=x_step, xi_step=xi_step)
+    if min(round(x_half / x_step), round(xi_half / xi_step)) == 0:
+        with pytest.raises(ValueError, match="half its step"):
+            Region(**params)
+        return
+    r = Region(**params)
     for axis in (r.x_axis, r.xi_axis):
         assert axis.size % 2 == 1 and axis[axis.size // 2] == 0.0
         assert np.array_equal(axis, -axis[::-1])
@@ -83,6 +88,18 @@ def test_region_rejects_non_finite_or_non_positive(bad):
             Region(**params)
     with pytest.raises(ValueError, match="finite step"):
         default_region(0, bad)
+
+
+def test_region_rejects_an_axis_of_one_node():
+    # a half at or below half its step leaves the node 0 alone, whose field
+    # has no step to read; the smallest half above it gives three nodes
+    w = VectorWindow((0, 1, 2))
+    for params in (dict(x_half=0.01, xi_half=1.0), dict(x_half=1.0, xi_half=0.05)):
+        with pytest.raises(ValueError, match="half its step"):
+            Region(x_step=0.1, xi_step=0.1, **params)
+    region = Region(x_half=0.051, xi_half=1.0, x_step=0.1, xi_step=0.1)
+    np.testing.assert_allclose(region.x_axis, [-0.1, 0.0, 0.1])
+    assert osc_l1(ambiguity(w, region), 0.3) > 0.0
 
 
 def test_region_point_budget():
