@@ -42,6 +42,10 @@ hermgabor certify --d 1000 --matrix 0.2,0,0,0.2
 # h_1000(40), where exp(-40^2/2) underflows (mpmath: 0.172250520733)
 hermgabor hermite --n 1000 --x 40 \
   | python3 -c 'import json, sys; sys.exit(abs(json.load(sys.stdin)["h"][0] - 0.172250520733) > 1e-9)'
+# the direct side at K = 128, where the projection's phases reach their
+# largest arguments: the bounds the complex-arithmetic projection gave
+hermgabor bounds --d 1 --matrix 0.7,0.2,-0.1,0.6 --K 128 \
+  | python3 -c 'import json, sys; r = json.load(sys.stdin); B = 4.6145218634421035; sys.exit(max(abs(r["A_est"] - 0.026566706476710448), abs(r["B_est"] - B)) > 1e-9 * B)'
 # the finest Galerkin grid admitted (Nyquist step just above 1/32),
 # and one that needs a finer step, rejected with exit 2
 hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.13

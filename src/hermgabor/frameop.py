@@ -29,6 +29,18 @@ so by Poisson summation the error of its Riemann sum at step h is its
 Fourier transform at the nonzero multiples of 1/h. The guard puts 1/h past
 the modulation cutoff plus twice the Hermite band, where that transform is
 far below rounding (Trefethen & Weideman, SIAM Review 56, 2014).
+
+``_project`` computes the phase e^{2 pi i mu2 (x - mu1)} as e^{-2 pi i
+mu2 mu1} e^{2 pi i mu2 x}, the second factor on the grid's nonnegative
+half at the exact offsets from its centre, as a coarse times a fine
+factor, and on the negative half as that half mirrored and conjugated
+(``_phase``). Both conjugate exactly, so the phase of -mu is that of mu
+mirrored bit for bit; with h_n(-x) = (-1)^n h_n(x), exact in the
+recurrence, the sampled integrand of -mu is that of mu reflected and
+signed, and the fold above holds up to the rounding of the sums alone.
+The shifted rows, modulated by the phase's real and imaginary parts, form
+one real array that meets the real test basis in a single real matrix
+product.
 """
 
 from __future__ import annotations
@@ -177,18 +189,70 @@ class FrameBounds:
             raise ValueError("frame bounds must satisfy 0 <= A_est <= B_est")
 
 
+def _expi(arg: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """cos(arg) + i sign sin(arg): sign = -1 conjugates exactly."""
+    z = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=z.real)
+    np.multiply(sign, np.sin(arg), out=z.imag)
+    return z
+
+
+def _phase(mu: np.ndarray, step: float, count: int) -> np.ndarray:
+    """e^{2 pi i mu2 (x - mu1)} on the grid of ``count`` points at ``step``
+    (``GridSpec``), shape (n, count), as e^{-2 pi i mu2 mu1} e^{2 pi i mu2 x}.
+
+    The second factor is built on the grid's nonnegative half, x = step*t
+    with t = t0 + L*k + l the exact offset from the centre (t0 = 0 or 1/2),
+    as a coarse factor in k times a fine factor in l < L; the negative half
+    is that half mirrored and conjugated. Each product conjugates exactly,
+    so _phase(-mu) is _phase(mu)[:, ::-1] bit for bit."""
+    n = mu.shape[0]
+    half = (count + 1) // 2                 # points with x >= 0
+    L = math.isqrt(half - 1) + 1            # fine factors; L * L >= half
+    n_coarse = -(-half // L)
+    t0 = 0.5 * (1 - count % 2)
+    w = TWO_PI * np.abs(mu[:, 1:])          # (n, 1)
+    sign = np.sign(mu[:, 1:])
+    fine = _expi(w * (step * (t0 + np.arange(L))), sign)               # (n, L)
+    coarse = _expi(w * (step * (L * np.arange(n_coarse))), sign)       # (n, n_coarse)
+    shift = np.exp(-1j * (TWO_PI * mu[:, 1] * mu[:, 0]))[:, None]      # even in mu
+    # buf[:, M + 1 + j] holds x = step*(t0 + j) and buf[:, M - j + odd]
+    # holds x = -step*(t0 + j), over the padded offsets j < M = n_coarse*L;
+    # for an odd count both hold the centre, and the second write keeps it
+    M = n_coarse * L
+    odd = count % 2
+    buf = np.empty((n, 2 * M + 1), dtype=complex)
+    neg = buf[:, 1 + odd:M + 1 + odd][:, ::-1].reshape(n, n_coarse, L)
+    pos = buf[:, M + 1:].reshape(n, n_coarse, L)
+    np.multiply((shift * coarse.conj())[:, :, None], fine.conj()[:, None, :], out=neg)
+    np.multiply((shift * coarse)[:, :, None], fine[:, None, :], out=pos)
+    return buf[:, M + 1 - (count - half):M + 1 + half]
+
+
 def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
              H: np.ndarray) -> np.ndarray:
     """P[p, r, m] = <pi(mu_p) h_{rows[r],a}, h_{m,a}> against the test basis
     H, with pi(mu) f(x) = e^{2 pi i mu2 (x - mu1)} f(x - mu1); shape
-    (n, len(rows), K)."""
+    (n, len(rows), K). ``x`` is a ``GridSpec``'s points at ``step``.
+
+    The shifted table is modulated by the real and imaginary parts of
+    ``_phase`` into one real (R*2*n, N) array, which meets the real H in a
+    single real matrix product."""
     xs = x[None, :] - mu[:, 0, None]                        # (n, N)
     table = dilated_hermite_all(max(rows), a, xs)           # (max+1, n, N)
-    phase = np.exp(1j * TWO_PI * mu[:, 1, None] * xs)       # (n, N)
-    V = table[list(rows)] * phase                           # (R, n, N)
-    R, n = V.shape[:2]
-    P = (V.reshape(R * n, x.size) @ H.T).reshape(R, n, H.shape[0])
-    return step * P.transpose(1, 0, 2)
+    rows = list(rows)
+    if rows != list(range(table.shape[0])):
+        table = table[rows]                                 # (R, n, N)
+    R, n, N = table.shape
+    phase = _phase(mu, step, N)
+    parts = np.empty((2, n, N))
+    parts[0], parts[1] = phase.real, phase.imag
+    V = table[:, None] * parts                              # (R, 2, n, N)
+    G = (V.reshape(R * 2 * n, N) @ H.T).reshape(R, 2, n, H.shape[0])
+    P = np.empty((n, R, H.shape[0]), dtype=complex)
+    np.multiply(step, G[:, 0].transpose(1, 0, 2), out=P.real)
+    np.multiply(step, G[:, 1].transpose(1, 0, 2), out=P.imag)
+    return P
 
 
 def _parity_classes(indices, K: int) -> tuple:

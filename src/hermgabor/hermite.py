@@ -46,15 +46,26 @@ def _hermite_all(n_max: int, x: np.ndarray) -> np.ndarray:
         raise ValueError("Hermite index must be nonnegative")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + x.shape)
-    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    # the recurrence runs in place on flat rows (a 0-d row is no ``out=``
+    # target), each product in the order of the expressions in the module
+    # docstring, so the values are those of the expression form bit for bit
+    rows, flat = out.reshape(n_max + 1, -1), x.reshape(-1)
+    np.multiply(-0.5, flat, out=rows[0])
+    np.multiply(rows[0], flat, out=rows[0])
+    np.exp(rows[0], out=rows[0])
+    np.multiply(np.pi ** (-0.25), rows[0], out=rows[0])
     if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
+        np.multiply(math.sqrt(2.0), flat, out=rows[1])
+        np.multiply(rows[1], rows[0], out=rows[1])
+    tmp = np.empty_like(flat)
     for k in range(1, n_max):
-        out[k + 1] = math.sqrt(2.0 / (k + 1)) * x * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
-    far = np.abs(x) > FAR_X
+        np.multiply(math.sqrt(2.0 / (k + 1)), flat, out=rows[k + 1])
+        np.multiply(rows[k + 1], rows[k], out=rows[k + 1])
+        np.multiply(math.sqrt(k / (k + 1.0)), rows[k - 1], out=tmp)
+        np.subtract(rows[k + 1], tmp, out=rows[k + 1])
+    far = np.abs(flat) > FAR_X
     if far.any():
-        # flat views: x and the table's columns may be scalars
-        out.reshape(n_max + 1, -1)[:, far.ravel()] = _hermite_all_far(n_max, x[far])
+        rows[:, far] = _hermite_all_far(n_max, flat[far])
     return out
 
 
@@ -84,7 +95,11 @@ def dilated_hermite(n: int, a: float, x):
 def dilated_hermite_all(n_max: int, a: float, x: np.ndarray) -> np.ndarray:
     """Stack h_{0,a}..h_{n_max,a} evaluated at ``x``; shape (n_max+1,) + x.shape."""
     s = dilation_scale(a)
-    return s ** (-0.25) * _hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
+    if s == 1.0:
+        return _hermite_all(n_max, x)
+    table = _hermite_all(n_max, np.asarray(x, dtype=float) / math.sqrt(s))
+    table *= s ** (-0.25)
+    return table
 
 
 @dataclass(frozen=True)

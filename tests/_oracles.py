@@ -159,6 +159,41 @@ def hermite_operator_residual(n, grid, dilation=1.0):
     return float(np.linalg.norm(res) / np.linalg.norm(h[1:-1]))
 
 
+def hermite_expression_form(n_max, x):
+    """``hermite._hermite_all`` with each step of the three-term recurrence
+    written as one whole-array expression: the same products in the same
+    order, each into a fresh temporary."""
+    from hermgabor.hermite import FAR_X, _hermite_all_far
+
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    if n_max >= 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for k in range(1, n_max):
+        out[k + 1] = (np.sqrt(2.0 / (k + 1)) * x * out[k]
+                      - np.sqrt(k / (k + 1.0)) * out[k - 1])
+    far = np.abs(x) > FAR_X
+    if far.any():
+        out.reshape(n_max + 1, -1)[:, far.ravel()] = _hermite_all_far(n_max, x[far])
+    return out
+
+
+def complex_projection(mu, rows, a, x, step, H):
+    """``frameop._project`` as complex sums with a direct phase:
+    P[p, r, m] = step * sum_x h_{rows[r],a}(x - mu1) e^{2 pi i mu2 (x - mu1)}
+    h_{m,a}(x), shape (n, len(rows), K)."""
+    from hermgabor.hermite import dilated_hermite_all
+
+    xs = x[None, :] - mu[:, 0, None]                        # (n, N)
+    table = dilated_hermite_all(max(rows), a, xs)           # (max+1, n, N)
+    phase = np.exp(2j * np.pi * mu[:, 1, None] * xs)        # (n, N)
+    V = table[list(rows)] * phase                           # (R, n, N)
+    R, n = V.shape[:2]
+    P = (V.reshape(R * n, x.size) @ H.T).reshape(R, n, H.shape[0])
+    return step * P.transpose(1, 0, 2)
+
+
 def assemble_frame_matrix(spec):
     """The library's Galerkin frame matrix as one Hermitian array in (i, m)
     order, from its two parity blocks; the entries between the two parity

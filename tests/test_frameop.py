@@ -14,7 +14,8 @@ from hermgabor import (BudgetError, CapacityError, FrameBounds,
 from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
 from hermgabor.grid import nyquist_step
 
-from _oracles import assemble_frame_matrix, direct_frame_matrix, shell_tail_bound
+from _oracles import (assemble_frame_matrix, complex_projection,
+                      direct_frame_matrix, shell_tail_bound)
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -133,6 +134,53 @@ def test_projection_parity(K, dilation, frac, angle):
                                    grid.step, H)[0] for m in (mu, -mu))
     sigma = (-1.0) ** np.arange(K)
     assert np.max(np.abs(E_minus - np.outer(sigma, sigma) * E)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=60)
+@given(K=st.integers(1, 128), dilation=st.floats(0.3, 3.0),
+       extra=st.integers(0, 1), frac=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2 * math.pi))
+@example(K=128, dilation=0.3, extra=0, frac=1.0, angle=0.5 * math.pi)
+@example(K=128, dilation=3.0, extra=1, frac=1.0, angle=0.25 * math.pi)
+def test_phase_matches_the_direct_exponential(K, dilation, extra, frac, angle):
+    # the spec's grid, or one point longer: both parities of the count
+    spec = make_spec(K=K, window_dilation=dilation)
+    grid = spec.grid()
+    grid = GridSpec(step=grid.step, count=grid.count + extra)
+    x = grid.points
+    rho = frac * spec.radius
+    mu = rho * np.array([[math.cos(angle), math.sin(angle)],
+                         [math.sin(angle), -math.cos(angle)],
+                         [0.0, math.sin(angle)], [math.cos(angle), 0.0]])
+    phase = frameop._phase(mu, grid.step, grid.count)
+    want = np.exp(2j * np.pi * mu[:, 1, None] * (x - mu[:, 0, None]))
+    # either side rounds its arguments, up to |2 pi mu2| (|x| + |mu1|), to
+    # a few ulps; the factors' products add a few eps more
+    scale = 1.0 + 2 * np.pi * np.abs(mu[:, 1, None]) * (np.abs(x) + np.abs(mu[:, 0, None]))
+    assert np.all(np.abs(phase - want) <= 4 * np.finfo(float).eps * scale)
+    # mu -> -mu is x -> -x exactly, which keeps the half-lattice fold exact
+    assert np.array_equal(frameop._phase(-mu, grid.step, grid.count), phase[:, ::-1])
+
+
+@pytest.mark.parametrize("K", [16, 32, 128])
+@pytest.mark.parametrize("dilation", [0.3, 1.0, 3.0])
+def test_projection_matches_the_complex_oracle(K, dilation):
+    # the direct side projects the window's rows (in the spec's order, or
+    # reordered), the adjoint side every row below K; points cover the
+    # spec's truncation disc inside its box
+    spec = make_spec(d=2, K=K, window_dilation=dilation)
+    grid = spec.grid()
+    H = dilated_hermite_all(K - 1, dilation, grid.points)
+    rng = np.random.default_rng(K)
+    rho = spec.radius * np.sqrt(rng.random(16))
+    angle = rng.uniform(0.0, 2 * math.pi, 16)
+    mu = np.column_stack([np.clip(rho * np.cos(angle), -spec.time_cutoff(), spec.time_cutoff()),
+                          np.clip(rho * np.sin(angle), -spec.freq_cutoff(), spec.freq_cutoff())])
+    for rows in ((0, 1, 2), (2, 0), range(K)):
+        P = frameop._project(mu, rows, dilation, grid.points, grid.step, H)
+        want = complex_projection(mu, rows, dilation, grid.points, grid.step, H)
+        assert P.shape == want.shape == (16, len(rows), K)
+        assert np.max(np.abs(P - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("M", [SHEARED, SHEARED.scaled(2.5)])

@@ -7,9 +7,9 @@ import pytest
 import sympy as sp
 
 from hermgabor import GridSpec, VectorWindow, dilated_hermite, dilated_hermite_all
-from hermgabor.hermite import FAR_X
+from hermgabor.hermite import FAR_X, _hermite_all
 
-from _oracles import hermite_operator_residual
+from _oracles import hermite_expression_form, hermite_operator_residual
 
 
 def rodrigues_oracle(n):
@@ -57,6 +57,34 @@ def test_recurrence_matches_mpmath_where_the_gaussian_underflows(n):
     assert np.max(np.abs(dilated_hermite(n, 1.0, xs) - want)) <= 1e-12
     assert dilated_hermite(n, 1.0, 40.0) == pytest.approx(
         mpmath_hermite(n, 40.0), abs=1e-12)
+
+
+_RNG = np.random.default_rng(18)
+RECURRENCE_POINTS = {
+    "scalar": 0.7,
+    "scalar-far": -41.0,
+    "1-D": np.concatenate([np.linspace(-12.0, 12.0, 97),
+                           [FAR_X - 0.01, FAR_X + 0.01, -40.0, 55.0]]),
+    "2-D": np.where(_RNG.random((5, 23)) < 0.1, 45.0, 8.0 * _RNG.standard_normal((5, 23))),
+    "2-D strided": (6.0 * _RNG.standard_normal((6, 40)))[::2, ::3],
+}
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 40, 400])
+@pytest.mark.parametrize("name", RECURRENCE_POINTS)
+def test_in_place_recurrence_matches_the_expression_form(n_max, name):
+    # the recurrence runs in place in the expression form's operation
+    # order, so it must agree with it bit for bit, beyond FAR_X too
+    x = RECURRENCE_POINTS[name]
+    want = hermite_expression_form(n_max, x)
+    table = _hermite_all(n_max, x)
+    assert table.shape == want.shape == (n_max + 1,) + np.shape(x)
+    assert np.array_equal(table, want)
+    assert np.array_equal(dilated_hermite_all(n_max, 1.0, x), want)
+    # elsewhere the dilation is the scaled table at the scaled points
+    a = 0.37
+    scaled = a ** (-0.25) * hermite_expression_form(n_max, np.asarray(x) / math.sqrt(a))
+    assert np.array_equal(dilated_hermite_all(n_max, a, x), scaled)
 
 
 def test_eval_all_consistent_with_single():
