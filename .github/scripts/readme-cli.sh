@@ -46,6 +46,10 @@ hermgabor hermite --n 1000 --x 40 \
 # largest arguments: the bounds the complex-arithmetic projection gave
 hermgabor bounds --d 1 --matrix 0.7,0.2,-0.1,0.6 --K 128 \
   | python3 -c 'import json, sys; r = json.load(sys.stdin); B = 4.6145218634421035; sys.exit(max(abs(r["A_est"] - 0.026566706476710448), abs(r["B_est"] - B)) > 1e-9 * B)'
+# the README certificate on its default region, which ends inside the
+# numerical support of F, so the oscillation runs on the whole quadrant
+hermgabor certify --d 1 --matrix 0.05,0,0,0.05 --region-step 0.03125 \
+  | python3 -c 'import json, sys; R = 0.5450288425665097; sys.exit(abs(json.load(sys.stdin)["R"] - R) > 1e-12 * R)'
 # the finest Galerkin grid admitted (Nyquist step just above 1/32),
 # and one that needs a finer step, rejected with exit 2
 hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.13

@@ -16,16 +16,21 @@ The certificate evaluates both on one quadrant of the plane and folds their
 sums by symmetry (see ``certificate``).
 
 Only the radius r depends on the lattice. F on the quadrant, its
-boundary-decay check and its total variation depend on the window and the
-region alone, so they are computed once per window and region and kept in
-a small cache (see ``_window_field``); each lattice then costs its
-resolution check, the oscillation at its radius and a fold.
+boundary-decay check, its total variation and the box that holds its
+numerical support (|F| > SUPPORT_TOL of its maximum) depend on the window
+and the region alone, so they are computed once per window and region and
+kept in a small cache (see ``_window_field``). Each lattice then costs its
+resolution check, the oscillation at its radius on the support box widened
+by 2r, and a fold: outside that box the oscillation is at most 2 SUPPORT_TOL
+max|F|, so R moves by at most 2 SUPPORT_TOL max|F| times the region's area
+(see ``certificate``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +38,19 @@ import numpy as np
 from .errors import PreconditionError, ResolutionError
 from .hermite import VectorWindow, rescale_large
 from .lattice import LatticeMatrix, box_norm, covolume
-from .timefreq import TWO_PI, Region, SampledField, _dilated_region
+from .timefreq import (TWO_PI, Region, SampledField, _dilated_region,
+                       _stretched_region)
 # not called here: perfbench/tracing.py wraps hermgabor.certify.stft (with
 # ambiguity and osc_l1), so the name must stay bound in this module
 from .timefreq import stft  # noqa: F401
 
 BOUNDARY_DECAY_TOL = 1e-8
+# F is taken as zero where |F| <= SUPPORT_TOL max|F|: the oscillation runs on
+# the box beyond which it is, widened by the disc
+SUPPORT_TOL = 2.0 ** -100
+# step, in units of x at dilation 1, of the profile of F that sizes the
+# default region of a window other than (h_0,...,h_d)
+_PROFILE_STEP = 1.0 / 64.0
 # points per block of the Laguerre recurrence: a block's few state arrays
 # stay in a core's L2 cache through all of its steps
 _FIELD_BLOCK = 32768
@@ -93,9 +105,33 @@ def _laguerre_sum(counts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return values
 
 
+def _window_region(w: VectorWindow) -> Region:
+    """The default certificate region of the window, at step 1/16.
+
+    For the window (h_{0,a},...,h_{d,a}), in any order, it is
+    ``default_region(d)`` stretched for the dilation a. For any other
+    indices the time half L_x is read off the profile of F at a = 1 along
+    x, sampled every _PROFILE_STEP: the first sample beyond the last one
+    where |F| exceeds half of BOUNDARY_DECAY_TOL F(0), and F(0) is F's
+    maximum (|l_n| <= l_n(0) = 1). That edge lies in the tail of the
+    largest index's l_N, past its last zero, where |F| only decays, so the
+    region's boundary ring holds |F| below BOUNDARY_DECAY_TOL of its
+    maximum. The region is then stretched as ``default_region``'s is."""
+    if sorted(w.indices) == list(range(len(w.indices))):
+        return _dilated_region(w.degree, w.dilation)
+    counts = np.bincount(w.indices)
+    # l_N turns from oscillation to decay at s = 4N + 2, x = sqrt(8N + 4);
+    # the profile runs to twice that and 12 more (the boundary check still
+    # guards the region)
+    x = np.arange(0.0, 2.0 * math.sqrt(8 * counts.size - 4) + 12.0, _PROFILE_STEP)
+    profile = np.abs(_laguerre_sum(counts, x * x / 2.0))
+    last = np.flatnonzero(profile > 0.5 * BOUNDARY_DECAY_TOL * counts.sum())[-1]
+    return _stretched_region(float(x[last]) + _PROFILE_STEP, w.dilation)
+
+
 def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     """Ambiguity function of the vector window over the region grid (by
-    default the window's ``default_region``, stretched for its dilation).
+    default the window's ``_window_region``).
 
     Values carry the symmetric time-frequency gauge, F(x,xi) =
     e^{-i*pi*x*xi} <f, T_x M_xi f>: in this gauge (and only in it) the range
@@ -111,7 +147,7 @@ def ambiguity(w: VectorWindow, region: Region = None) -> SampledField:
     so every window is evaluated on every region.
     """
     if region is None:
-        region = _dilated_region(w.degree, w.dilation)
+        region = _window_region(w)
     x, xi = region.x_axis, region.xi_axis
     nx, nxi = x.size // 2, xi.size // 2
     quadrant = _laguerre_field(w, x[nx:], xi[nxi:])
@@ -243,38 +279,60 @@ def _fold(values: np.ndarray) -> float:
     return float(wx @ quadrant @ wxi)
 
 
+def _decay(values: np.ndarray) -> tuple:
+    """(ring, support) of F on the quadrant: the largest |F| on its outer row
+    and column relative to max|F|, and its last row and column where |F|
+    exceeds SUPPORT_TOL max|F|."""
+    magnitude = np.abs(values)
+    vmax = magnitude.max()
+    ring = max(magnitude[-1].max(), magnitude[:, -1].max()) / vmax
+    held = magnitude > SUPPORT_TOL * vmax
+    return ring, tuple(int(np.flatnonzero(held.any(axis=axis))[-1])
+                       for axis in (1, 0))
+
+
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _window_field(w: VectorWindow, region: Region) -> tuple:
-    """The certificate's part that does not depend on the lattice: (F, tv),
-    the ambiguity field of w on the region's quadrant plus the row and
-    column across the axes (read-only), and its total variation over the
-    region; PreconditionError when the region cuts F off (its boundary
-    values exceed BOUNDARY_DECAY_TOL of its maximum).
+    """The certificate's part that does not depend on the lattice:
+    (F, tv, support), the ambiguity field of w on the region's quadrant plus
+    the row and column across the axes (read-only), its total variation
+    over the region, and the last row and column of F where |F| exceeds
+    SUPPORT_TOL of its maximum; PreconditionError when the region cuts F
+    off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
 
     Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
     frozen values; an exception is not kept, so a region that cuts F off
     fails on every call."""
     x, xi = (axis[axis.size // 2 - 1:] for axis in (region.x_axis, region.xi_axis))
     values = _laguerre_field(w, x, xi)
-    vmax = np.abs(values).max()
-    ring = max(np.abs(values[-1]).max(), np.abs(values[:, -1]).max())
-    if ring > BOUNDARY_DECAY_TOL * vmax:
+    ring, support = _decay(values)
+    if ring > BOUNDARY_DECAY_TOL:
         raise PreconditionError(
             f"ambiguity function does not decay below {BOUNDARY_DECAY_TOL} at "
-            f"the region boundary (relative ring maximum {ring / vmax:.3g})")
+            f"the region boundary (relative ring maximum {ring:.3g})")
     F = SampledField(x_axis=x, xi_axis=xi, values=values)
     gx, gxi = np.gradient(values, F.x_step, F.xi_step)
     tv = F.x_step * F.xi_step * _fold(np.abs(gx) + np.abs(gxi))
     for array in (x, xi, values):
         array.flags.writeable = False
-    return F, tv
+    return F, tv, support
+
+
+def _support_field(F: SampledField, support: tuple, r: float) -> SampledField:
+    """The view of F on its rows and columns up to the support's last ones
+    plus 2 ceil(r / step) on each axis: up to the support widened by r, a
+    node's whole disc of radius r lies in the view."""
+    nx, nxi = (last + 2 * math.ceil(min(r / step, size)) + 1 for last, step, size
+               in zip(support, (F.x_step, F.xi_step), F.values.shape))
+    return SampledField(x_axis=F.x_axis[:nx], xi_axis=F.xi_axis[:nxi],
+                        values=F.values[:nx, :nxi])
 
 
 def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
     the ambiguity field of the orthonormal window w over the region (default
-    as in ``ambiguity``); PreconditionError when the region cuts that field
+    ``_window_region(w)``); PreconditionError when the region cuts that field
     off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
 
     F is even in x and in xi (see ``ambiguity``), so F, its oscillation and
@@ -286,15 +344,27 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     quadrant's outer row and column hold the whole boundary ring. F and its
     total variation come from ``_window_field``, once per window and
     region; only the oscillation depends on M.
+
+    The oscillation runs on the quadrant's rows and columns up to the last
+    ones where |F| > tau = SUPPORT_TOL max|F|, plus 2 ceil(r / step) more
+    on each axis (``_support_field``). A node within r of that support box
+    sees its whole disc there, so its oscillation is exact. Every other
+    node's disc holds only values |F| <= tau, so its oscillation is at most
+    2 tau; the view truncates it (lower, never negative) or leaves it out
+    (zero). Hence R is within 2 tau times the region's area, its node count
+    times x_step * xi_step, of the whole quadrant's R: 2e-27 for max|F| = 3
+    on a 20 x 20 region. A region that ends inside the support, as every
+    default region does, is not cut, and R is the whole quadrant's to the
+    last bit.
     """
     _check_orthonormal(w)
     if region is None:
-        region = _dilated_region(w.degree, w.dilation)
+        region = _window_region(w)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    F, tv = _window_field(w, region)
+    F, tv, support = _window_field(w, region)
     h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
-    R = h2 * _fold(oscillation(F, r).values)
+    R = h2 * _fold(oscillation(_support_field(F, support, r), r).values)
     return Certificate(ratio=R, matrix=M, window_degree=w.degree,
                        eps_disc=2.0 * F.x_step * tv / covolume(M))
 

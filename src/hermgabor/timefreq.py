@@ -69,21 +69,30 @@ def default_region(d: int, step: float = REGION_STEP) -> Region:
 
 
 def _dilated_region(d: int, dilation: float, step: float = REGION_STEP) -> Region:
-    """Certificate region [-L_x sqrt|a|, L_x sqrt|a|] x [-L_xi, L_xi] of the
-    window (h_{0,a},...,h_{d,a}), both halves rounded up to a multiple of
-    ``step``.
-
-    L_x = sqrt(2d+1) + 8, widened to 2 sqrt(2d+1) + 5 from d =
+    """``_stretched_region`` of the window (h_{0,a},...,h_{d,a}) at the time
+    half L_x = sqrt(2d+1) + 8, widened to 2 sqrt(2d+1) + 5 from d =
     WIDE_REGION_DEGREE on: there the ambiguity function of (h_0..h_d) still
     exceeds 1e-8 of its maximum at sqrt(2d+1) + 8 (below 1e-9 at the widened
-    edge). It depends on (x, xi) only through x^2/a + a (2 pi xi)^2 (see
-    ``certify.ambiguity``), so it has decayed as far at L_x / (2 pi sqrt|a|)
-    in xi; L_xi adds 1 to that, keeping an oscillation disc of radius up to
-    1 inside the region."""
+    edge)."""
     if d < 0 or not 0 < step < math.inf:
         raise ValueError("default_region needs d >= 0 and a finite step > 0")
-    root, root_a = math.sqrt(2 * d + 1), math.sqrt(abs(dilation))
+    root = math.sqrt(2 * d + 1)
     x_half = 2.0 * root + 5.0 if d >= WIDE_REGION_DEGREE else root + 8.0
+    return _stretched_region(x_half, dilation, step)
+
+
+def _stretched_region(x_half: float, dilation: float,
+                     step: float = REGION_STEP) -> Region:
+    """Certificate region [-L_x sqrt|a|, L_x sqrt|a|] x [-L_xi, L_xi], L_x =
+    x_half, for a window of dilation a whose ambiguity function at a = 1
+    has decayed outside x^2 + (2 pi xi)^2 = L_x^2, both halves rounded up to a multiple
+    of ``step``.
+
+    The ambiguity function depends on (x, xi) only through x^2/a +
+    a (2 pi xi)^2 (see ``certify.ambiguity``), so it has decayed as far at
+    L_x sqrt|a| in x as at L_x / (2 pi sqrt|a|) in xi; L_xi adds 1 to that,
+    keeping an oscillation disc of radius up to 1 inside the region."""
+    root_a = math.sqrt(abs(dilation))
     return Region(x_half=_round_up(x_half * root_a, step),
                   xi_half=_round_up(x_half / (TWO_PI * root_a) + 1.0, step),
                   x_step=step, xi_step=step)

@@ -16,8 +16,10 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
-                               _disc_rows, _laguerre_field, _window_field)
-from hermgabor.timefreq import WIDE_REGION_DEGREE
+                               SUPPORT_TOL, _disc_rows, _fold,
+                               _laguerre_field, _window_field,
+                               _window_region)
+from hermgabor.timefreq import WIDE_REGION_DEGREE, _dilated_region
 
 from _oracles import (full_field_certificate, oscillation_oracle,
                       twisted_convolve)
@@ -387,7 +389,7 @@ def test_field_cache_keys_on_the_window_and_the_region():
 
 def test_cached_field_is_read_only():
     # every caller shares the cached arrays, so none may write to them
-    F, tv = _window_field(certification_window(0), default_region(0))
+    F, tv, _ = _window_field(certification_window(0), default_region(0))
     for array in (F.values, F.x_axis, F.xi_axis):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -468,6 +470,159 @@ def test_certificate_matches_full_field_oracle(d, dilation, step, radius,
     R, eps = full_field_certificate(w, M, region)
     assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
     assert cert.eps_disc == pytest.approx(eps, rel=1e-13, abs=0)
+
+
+def recorded_oscillations(patch):
+    """The fields the certificate passes to ``oscillation``, recorded through
+    the monkeypatch ``patch``."""
+    seen = []
+
+    def record(F, r):
+        seen.append(F)
+        return oscillation(F, r)
+
+    patch.setattr(certify_module, "oscillation", record)
+    return seen
+
+
+def crop_bound_holds(w, M, region, sub):
+    """Check the certificate's truncation bound for the field ``sub`` that it
+    passed to ``oscillation``: against the oscillation of the whole quadrant,
+    the view's is exact on the support box widened by r and lower by at most
+    2 tau elsewhere, tau = SUPPORT_TOL max|F|, so the folded sums differ by
+    at most 2 tau times the region's area."""
+    F, _, (ix, ixi) = _window_field(w, region)
+    r = box_norm(M)
+    full = oscillation(F, r).values
+    nx, nxi = sub.values.shape
+    assert np.shares_memory(sub.values, F.values)
+    assert np.array_equal(sub.values, F.values[:nx, :nxi])
+    lost = full.copy()
+    lost[:nx, :nxi] -= oscillation(sub, r).values
+    mx, mxi = math.ceil(r / F.x_step), math.ceil(r / F.xi_step)
+    assert not lost[:ix + mx + 1, :ixi + mxi + 1].any()
+    tau = SUPPORT_TOL * np.abs(F.values).max()
+    assert lost.min() >= 0.0 and lost.max() <= 2.0 * tau
+    area = region.x_axis.size * region.xi_axis.size * F.x_step * F.xi_step
+    assert F.x_step * F.xi_step * _fold(lost) <= 2.0 * tau * area
+
+
+SUPPORT_RADII = ("just above the step", "inside the region",
+                 "wider than the support")
+# element operations of the whole-field oracle's oscillation above which
+# an example coarsens its step, to keep the oracle quick
+ORACLE_WORK = 2e8
+
+
+@settings(deadline=None, max_examples=30)
+@given(d=st.integers(0, 8), dilation=st.floats(0.3, 3.0),
+       step=st.sampled_from([1 / 8, 1 / 16, 1 / 32]),
+       widen_x=st.floats(1.0, 3.0), widen_xi=st.floats(1.0, 3.0),
+       radius=st.sampled_from(SUPPORT_RADII), frac=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi))
+@example(d=0, dilation=1.0, step=1 / 32, widen_x=3.0, widen_xi=3.0,
+         radius=SUPPORT_RADII[0], frac=0.0, theta=0.0)
+@example(d=8, dilation=0.3, step=1 / 8, widen_x=3.0, widen_xi=3.0,
+         radius=SUPPORT_RADII[2], frac=1.0, theta=0.3)
+@example(d=2, dilation=1.0, step=1 / 32, widen_x=1.0, widen_xi=3.0,
+         radius=SUPPORT_RADII[1], frac=0.2, theta=0.7)
+def test_cropped_certificate_matches_full_field_oracle(
+        d, dilation, step, widen_x, widen_xi, radius, frac, theta):
+    # regions up to 3x the oracle test's on each axis (a default region
+    # widened by 1, then stretched for the dilation), where F's numerical
+    # support ends inside the region and the oscillation runs on a view of
+    # the quadrant; radii from just above the step to wider than that support
+    w = VectorWindow(range(d + 1), dilation)
+    root_a = math.sqrt(dilation)
+    x_half = 1.0 + (2 * math.sqrt(2 * d + 1) + 5.0 if d >= WIDE_REGION_DEGREE
+                    else math.sqrt(2 * d + 1) + 8.0)
+    while True:
+        region = Region(
+            x_half=math.ceil(widen_x * x_half * root_a / step) * step,
+            xi_half=math.ceil(widen_xi * (x_half / (2 * math.pi * root_a) + 1)
+                              / step) * step,
+            x_step=step, xi_step=step)
+        F, _, (ix, ixi) = _window_field(w, region)
+        support = max(F.x_axis[ix], F.xi_axis[ixi])
+        r = {SUPPORT_RADII[0]: step * (1 + 1e-9),
+             SUPPORT_RADII[1]: step * (1 + 1e-9) + frac * (1.0 - step),
+             SUPPORT_RADII[2]: support * (1.05 + 0.5 * frac)}[radius]
+        work = 2 * r / step * region.x_axis.size * region.xi_axis.size
+        if work <= ORACLE_WORK or step == 1 / 8:
+            break
+        step *= 2
+    # t R(theta) maps the box [-1/2, 1/2]^2 onto a square of half-diagonal
+    # t / sqrt(2)
+    t = math.sqrt(2) * r
+    c, s = math.cos(theta), math.sin(theta)
+    M = LatticeMatrix(t * c, -t * s, t * s, t * c)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = recorded_oscillations(patch)
+        cert = certificate(w, M, region)
+    R, eps = full_field_certificate(w, M, region)
+    assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
+    assert cert.eps_disc == pytest.approx(eps, rel=1e-13, abs=0)
+    (sub,) = seen
+    crop_bound_holds(w, M, region, sub)
+
+
+def test_oscillation_runs_on_the_support_of_a_square_region(monkeypatch):
+    # a square step-1/32 region as wide in xi as in x: F has vanished below
+    # SUPPORT_TOL of its maximum at about 1/(2 pi) of its x extent, so most
+    # of the quadrant's columns are left out
+    step = 1 / 32
+    half = math.ceil((math.sqrt(5) + 8.0) / step) * step
+    region = Region(x_half=half, xi_half=half, x_step=step, xi_step=step)
+    w, M = certification_window(2), LatticeMatrix(0.1, 0.02, -0.03, 0.09)
+    seen = recorded_oscillations(monkeypatch)
+    cert = certificate(w, M, region)
+    (sub,) = seen
+    F, _, _ = _window_field(w, region)
+    assert sub.values.shape[0] <= F.values.shape[0]
+    assert 3 * sub.values.shape[1] < F.values.shape[1]
+    R, _ = full_field_certificate(w, M, region)
+    assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
+    crop_bound_holds(w, M, region, sub)
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 18])
+def test_default_regions_run_the_whole_quadrant(monkeypatch, d):
+    # a default region ends inside F's numerical support, so nothing is cut
+    # and R is the whole quadrant's fold to the last bit
+    w, region = certification_window(d), default_region(d)
+    F, _, _ = _window_field(w, region)
+    for M in (LatticeMatrix(0.1, 0, 0, 0.1),
+              LatticeMatrix(0.24, 0.096, -0.04, 0.224)):
+        seen = recorded_oscillations(monkeypatch)
+        cert = certificate(w, M, region)
+        monkeypatch.undo()
+        (sub,) = seen
+        assert sub.values.shape == F.values.shape
+        r = box_norm(M)
+        assert cert.ratio == F.x_step * F.xi_step * _fold(oscillation(F, r).values)
+
+
+@pytest.mark.parametrize("indices", [(n,) for n in range(61)] + [(0, 5), (2, 7)])
+def test_default_region_holds_any_window(indices):
+    # the default region is sized from the window's indices: it holds the
+    # window's ambiguity function, so the certificate passes its boundary
+    # check
+    M = LatticeMatrix(0.1, 0, 0, 0.1)
+    for dilation in (1.0, 0.5) if len(indices) > 1 else (1.0,):
+        w = VectorWindow(indices, dilation)
+        F = ambiguity(w).values
+        edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
+        assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()
+        assert certificate(w, M).window_degree == len(indices) - 1
+
+
+@pytest.mark.parametrize("indices", [(0,), (0, 1, 2), (2, 0, 1), tuple(range(9))])
+def test_window_region_of_consecutive_indices_is_the_default(indices):
+    # (h_0,...,h_d), in any order, keeps default_region(d): the CLI's region
+    for dilation in (1.0, 2.0):
+        w = VectorWindow(indices, dilation)
+        assert _window_region(w) == _dilated_region(w.degree, dilation)
+    assert _window_region(VectorWindow(indices)) == default_region(len(indices) - 1)
 
 
 @pytest.mark.parametrize("d", list(range(13)) + [17, 18, 25, 40])
