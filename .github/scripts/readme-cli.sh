@@ -42,10 +42,15 @@ hermgabor certify --d 1000 --matrix 0.2,0,0,0.2
 # h_1000(40), where exp(-40^2/2) underflows (mpmath: 0.172250520733)
 hermgabor hermite --n 1000 --x 40 \
   | python3 -c 'import json, sys; sys.exit(abs(json.load(sys.stdin)["h"][0] - 0.172250520733) > 1e-9)'
-# the direct side at K = 128, where the projection's phases reach their
-# largest arguments: the bounds the complex-arithmetic projection gave
+# the direct side at K = 128, whose points reach the largest shifts and
+# the highest rotation phases e^{i(m-r)theta}: the bounds the
+# complex-arithmetic projection gave
 hermgabor bounds --d 1 --matrix 0.7,0.2,-0.1,0.6 --K 128 \
   | python3 -c 'import json, sys; r = json.load(sys.stdin); B = 4.6145218634421035; sys.exit(max(abs(r["A_est"] - 0.026566706476710448), abs(r["B_est"] - B)) > 1e-9 * B)'
+# the adjoint side at K = 128 with a dilated window: the bounds the
+# modulated quadrature gave before the projection became a rotated shift
+hermgabor bounds --d 2 --matrix 0.25,0.05,-0.03,0.22 --K 128 --dilation 1.7 \
+  | python3 -c 'import json, sys; r = json.load(sys.stdin); B = 19.12266991199733; sys.exit(max(abs(r["A_est"] - 16.275562485250244), abs(r["B_est"] - B)) > 1e-9 * B)'
 # the README certificate on its default region, which ends inside the
 # numerical support of F, so the oscillation runs on the whole quadrant
 hermgabor certify --d 1 --matrix 0.05,0,0,0.05 --region-step 0.03125 \

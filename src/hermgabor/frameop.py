@@ -17,30 +17,34 @@ sigma_(i,m) = (-1)^{idx_i + m}. Summing one point of each pair +-gamma at
 weight 2 and the origin at weight 1 gives every entry with sigma_(i,m) =
 sigma_(j,m'); the others cancel pairwise and are exactly 0. The matrix is
 therefore kept as its two parity blocks, and the extremal eigenvalues come
-from two eigensolves of half the size. The Riemann sums run on a grid
-symmetric under x -> -x, so the computed sums obey the same identity to
-rounding.
+from two eigensolves of half the size. In the rotated form below, mu and
+-mu share their shift and their angles differ by pi, so the computed terms
+obey the same identity to the rounding of their phases.
 
-The grid's step is the coarsest its Nyquist guard admits,
-``grid.nyquist_step``, and ``DEFAULT_STEP`` where the guard asks for a
-finer one, which is then rejected (CapacityError). Each integrand
-h_r(x - mu1) h_m(x) e^{2 pi i mu2 x} is smooth and decays like a Gaussian,
-so by Poisson summation the error of its Riemann sum at step h is its
-Fourier transform at the nonzero multiples of 1/h. The guard puts 1/h past
-the modulation cutoff plus twice the Hermite band, where that transform is
-far below rounding (Trefethen & Weideman, SIAM Review 56, 2014).
+Each element is a real shift times phases. The h_{n,a} are eigenfunctions
+of the metaplectic rotations of the (x/sqrt(a), 2 pi sqrt(a) xi) plane
+(the fractional Fourier transform; Folland, Harmonic Analysis in Phase
+Space, 1989, ch. 4), so with t e^{i theta} = mu1 + 2 pi i a mu2,
 
-``_project`` computes the phase e^{2 pi i mu2 (x - mu1)} as e^{-2 pi i
-mu2 mu1} e^{2 pi i mu2 x}, the second factor on the grid's nonnegative
-half at the exact offsets from its centre, as a coarse times a fine
-factor, and on the negative half as that half mirrored and conjugated
-(``_phase``). Both conjugate exactly, so the phase of -mu is that of mu
-mirrored bit for bit; with h_n(-x) = (-1)^n h_n(x), exact in the
-recurrence, the sampled integrand of -mu is that of mu reflected and
-signed, and the fold above holds up to the rounding of the sums alone.
-The shifted rows, modulated by the phase's real and imaginary parts, form
-one real array that meets the real test basis in a single real matrix
-product.
+    <pi(mu) h_{r,a}, h_{m,a}> = e^{-i pi mu1 mu2} e^{i (m - r) theta}
+                                <h_{r,a}(. - t), h_{m,a}>,
+
+and ``_project`` samples no modulation: the table of the rows shifted by t
+meets the real test basis in one real matrix product. The Riemann sums run
+on a grid at the coarsest step its Nyquist guard admits,
+``grid.nyquist_step``, and at ``DEFAULT_STEP`` where the guard asks for a
+finer one, which is then rejected (CapacityError). Each integrand is smooth
+and decays like a Gaussian, so by Poisson summation the error of its
+Riemann sum at step h is its Fourier transform at the nonzero multiples of
+1/h, which the guard keeps far below rounding (Trefethen & Weideman, SIAM
+Review 56, 2014).
+
+``_assemble`` takes the points in order of t, so that each chunk samples
+only its ``_crop`` of the grid: from t_min - S, S the support half-width of
+the Hermite functions, to the larger of S and t_max/2 + pad. Past both
+supports a product of two tails peaks near t/2, so the grid reaches rho
+sqrt(a)/2 + pad at least, rho sqrt(a) the time cutoff: the integrands of
+the outermost shell, which ``FrameBounds.tail_bound`` sums, are then whole.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import DEFAULT_STEP, GridSpec, nyquist_step
+from .grid import DEFAULT_STEP, GridSpec, nyquist_step, support_half_width
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
 from .hermite import dilated_hermite_all, hermite_indices
@@ -67,6 +71,16 @@ FRAME_RATIO_TOL = 1e-3
 TWO_PI = 2.0 * math.pi
 # window rows projected per chunk on the adjoint side (K per dual point)
 ADJOINT_CHUNK_ROWS = 512
+# how far past t/2 the integrand h_{r,a}(x - t) h_{m,a}(x) of a shift t
+# beyond both supports is sampled, in time units up to dilation 1: its
+# Gaussian factor e^{-(x - t/2)^2 / a} is below 1e-21 there
+SHIFT_PAD = 7.0
+# i^n for n mod 4
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
+def _shift_pad(dilation: float) -> float:
+    return SHIFT_PAD * max(math.sqrt(dilation), 1.0)
 
 
 def _joint_support(galerkin_dim: int, max_window_index: int) -> float:
@@ -153,12 +167,16 @@ class GaborSystemSpec:
 
     def grid(self) -> GridSpec:
         """The quadrature grid at the step of its Nyquist guard, where that
-        is no finer than ``DEFAULT_STEP``; a finer one raises CapacityError."""
+        is no finer than ``DEFAULT_STEP``; a finer one raises CapacityError.
+        It reaches rho sqrt(a)/2 + pad at least (rho sqrt(a) the time
+        cutoff), where the integrands of the outermost shell peak."""
         max_index = max(self.galerkin_dim - 1, self.max_window_index)
         cutoff = self.freq_cutoff()
-        step = max(DEFAULT_STEP, nyquist_step(cutoff, max_index, self.window_dilation))
+        a = self.window_dilation
+        step = max(DEFAULT_STEP, nyquist_step(cutoff, max_index, a))
+        reach = 0.5 * self.time_cutoff() + _shift_pad(a)
         return GridSpec.build(max_index=max_index, max_modulation=cutoff,
-                              dilation=self.window_dilation, step=step)
+                              dilation=a, step=step, min_half_width=reach)
 
     def with_dim(self, K: int) -> "GaborSystemSpec":
         return replace(self, galerkin_dim=K)
@@ -189,70 +207,42 @@ class FrameBounds:
             raise ValueError("frame bounds must satisfy 0 <= A_est <= B_est")
 
 
-def _expi(arg: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """cos(arg) + i sign sin(arg): sign = -1 conjugates exactly."""
-    z = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=z.real)
-    np.multiply(sign, np.sin(arg), out=z.imag)
-    return z
-
-
-def _phase(mu: np.ndarray, step: float, count: int) -> np.ndarray:
-    """e^{2 pi i mu2 (x - mu1)} on the grid of ``count`` points at ``step``
-    (``GridSpec``), shape (n, count), as e^{-2 pi i mu2 mu1} e^{2 pi i mu2 x}.
-
-    The second factor is built on the grid's nonnegative half, x = step*t
-    with t = t0 + L*k + l the exact offset from the centre (t0 = 0 or 1/2),
-    as a coarse factor in k times a fine factor in l < L; the negative half
-    is that half mirrored and conjugated. Each product conjugates exactly,
-    so _phase(-mu) is _phase(mu)[:, ::-1] bit for bit."""
-    n = mu.shape[0]
-    half = (count + 1) // 2                 # points with x >= 0
-    L = math.isqrt(half - 1) + 1            # fine factors; L * L >= half
-    n_coarse = -(-half // L)
-    t0 = 0.5 * (1 - count % 2)
-    w = TWO_PI * np.abs(mu[:, 1:])          # (n, 1)
-    sign = np.sign(mu[:, 1:])
-    fine = _expi(w * (step * (t0 + np.arange(L))), sign)               # (n, L)
-    coarse = _expi(w * (step * (L * np.arange(n_coarse))), sign)       # (n, n_coarse)
-    shift = np.exp(-1j * (TWO_PI * mu[:, 1] * mu[:, 0]))[:, None]      # even in mu
-    # buf[:, M + 1 + j] holds x = step*(t0 + j) and buf[:, M - j + odd]
-    # holds x = -step*(t0 + j), over the padded offsets j < M = n_coarse*L;
-    # for an odd count both hold the centre, and the second write keeps it
-    M = n_coarse * L
-    odd = count % 2
-    buf = np.empty((n, 2 * M + 1), dtype=complex)
-    neg = buf[:, 1 + odd:M + 1 + odd][:, ::-1].reshape(n, n_coarse, L)
-    pos = buf[:, M + 1:].reshape(n, n_coarse, L)
-    np.multiply((shift * coarse.conj())[:, :, None], fine.conj()[:, None, :], out=neg)
-    np.multiply((shift * coarse)[:, :, None], fine[:, None, :], out=pos)
-    return buf[:, M + 1 - (count - half):M + 1 + half]
-
-
 def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
              H: np.ndarray) -> np.ndarray:
-    """P[p, r, m] = <pi(mu_p) h_{rows[r],a}, h_{m,a}> against the test basis
-    H, with pi(mu) f(x) = e^{2 pi i mu2 (x - mu1)} f(x - mu1); shape
-    (n, len(rows), K). ``x`` is a ``GridSpec``'s points at ``step``.
-
-    The shifted table is modulated by the real and imaginary parts of
-    ``_phase`` into one real (R*2*n, N) array, which meets the real H in a
-    single real matrix product."""
-    xs = x[None, :] - mu[:, 0, None]                        # (n, N)
-    table = dilated_hermite_all(max(rows), a, xs)           # (max+1, n, N)
+    """P[p, r, m] = <pi(mu_p) h_{rows[r],a}, h_{m,a}>, rows below K, against
+    the test basis H sampled at ``x`` at ``step``, in the rotated form of
+    the module docstring; shape (n, len(rows), K)."""
+    z = mu[:, 0] + 1j * (TWO_PI * a * mu[:, 1])             # t e^{i theta}
+    table = dilated_hermite_all(max(rows), a, x[None, :] - np.abs(z)[:, None])
     rows = list(rows)
     if rows != list(range(table.shape[0])):
         table = table[rows]                                 # (R, n, N)
     R, n, N = table.shape
-    phase = _phase(mu, step, N)
-    parts = np.empty((2, n, N))
-    parts[0], parts[1] = phase.real, phase.imag
-    V = table[:, None] * parts                              # (R, 2, n, N)
-    G = (V.reshape(R * 2 * n, N) @ H.T).reshape(R, 2, n, H.shape[0])
-    P = np.empty((n, R, H.shape[0]), dtype=complex)
-    np.multiply(step, G[:, 0].transpose(1, 0, 2), out=P.real)
-    np.multiply(step, G[:, 1].transpose(1, 0, 2), out=P.imag)
+    K = H.shape[0]
+    G = (table.reshape(R * n, N) @ H.T).reshape(R, n, K)
+    # theta = q pi/2 + phi with |phi| <= pi/4: z i^{-q} and i^{qk} are
+    # exact, so e^{ik theta} rounds k phi instead of k theta
+    q = np.rint(np.angle(z) / (0.5 * np.pi)).astype(int)
+    k = np.arange(K)
+    turn = np.exp(1j * np.outer(np.angle(z * _POWERS_OF_I[-q % 4]), k))
+    turn *= _POWERS_OF_I[np.outer(q, k) % 4]                # e^{ik theta}
+    left = (step * np.exp(-1j * np.pi * mu[:, 0] * mu[:, 1]))[:, None]
+    left = left * turn[:, rows].conj()                      # (n, R)
+    P = left[:, :, None] * turn[:, None, :]
+    P *= G.transpose(1, 0, 2)
     return P
+
+
+def _crop(spec: GaborSystemSpec, x: np.ndarray, t: np.ndarray) -> slice:
+    """The points of the spec's ascending grid ``x`` in [t[0] - S, max(S,
+    t[-1]/2 + pad)], S the support half-width of its Hermite functions:
+    where the integrands of ``_project`` at the ascending shifts ``t`` are
+    above rounding. Each factor is below it past S, and a product of two
+    tails peaks near t/2."""
+    a = spec.window_dilation
+    S = support_half_width(max(spec.galerkin_dim - 1, spec.max_window_index), a)
+    lo, hi = np.searchsorted(x, [t[0] - S, max(S, 0.5 * t[-1] + _shift_pad(a))])
+    return slice(lo, hi)
 
 
 def _parity_classes(indices, K: int) -> tuple:
@@ -295,6 +285,11 @@ def _assemble(spec: GaborSystemSpec):
     # the kept set is symmetric under g -> -g: sum one point of each pair
     # (g1 > 0, or g1 == 0 < g2) at weight 2 and the origin at weight 1
     g = g[keep & ((g1 > 0) | ((g1 == 0) & (g2 >= 0)))]
+    # in order of the shift t that ``_project`` samples at, so that each
+    # chunk samples only its ``_crop``
+    t = np.hypot(g[:, 0], TWO_PI * a * g[:, 1])
+    order = np.argsort(t)
+    g, t = g[order], t[order]
     weight = np.where(g.any(axis=1), 2.0, 1.0)
     in_shell = np.hypot(g[:, 0], g[:, 1]) > r_cut - 1.0
 
@@ -310,19 +305,21 @@ def _assemble(spec: GaborSystemSpec):
         mu = g[start:start + chunk]
         wt = weight[start:start + chunk]
         shell = in_shell[start:start + chunk]
+        crop = _crop(spec, x, t[start:start + chunk])
+        xs, Hs = x[crop], H[:, crop]
         if adjoint:
-            E = _project(mu, range(K), a, x, grid.step, H)      # (n, K, K)
+            E = _project(mu, range(K), a, xs, grid.step, Hs)    # (n, K, K)
             n = E.shape[0]
-            # W[p, i, j] = conj(E[p, idx_j, idx_i]); F[p, m, m'] = E[p, m', m]
+            # W[p, i, j] = conj(E[p, idx_j, idx_i]); S4[(i, j), (m', m)] sums
+            # W[p, i, j] E[p, m', m]
             W = E[:, rows][:, :, rows].conj().transpose(0, 2, 1)
-            F = E.transpose(0, 2, 1)
-            S4 += (wt[:, None] * W.reshape(n, c * c)).T @ F.reshape(n, K * K)
+            S4 += (wt[:, None] * W.reshape(n, c * c)).T @ E.reshape(n, K * K)
             if shell.any():
                 tail += float(np.sum(wt[shell] * np.linalg.norm(W[shell], axis=(1, 2))
                                      * np.linalg.norm(E[shell], axis=(1, 2))))
         else:
             # window rows at (gamma1, -gamma2): A[p, i, m] = <h_m, pi(gamma_p) w_i>
-            A = _project(mu * [1.0, -1.0], rows, a, x, grid.step, H)
+            A = _project(mu * [1.0, -1.0], rows, a, xs, grid.step, Hs)
             A = A.reshape(A.shape[0], c * K)
             for S, cls in zip(blocks, classes):
                 Ac = A[:, cls]
@@ -331,7 +328,7 @@ def _assemble(spec: GaborSystemSpec):
                 tail += float(np.sum(wt[shell, None] * np.abs(A[shell]) ** 2))
     if adjoint:
         det = covolume(spec.matrix)
-        S = S4.reshape(c, c, K, K).transpose(0, 2, 1, 3).reshape(c * K, c * K) / det
+        S = S4.reshape(c, c, K, K).transpose(0, 3, 1, 2).reshape(c * K, c * K) / det
         blocks = [S[np.ix_(cls, cls)] for cls in classes]
         tail /= det
     blocks = [0.5 * (S + S.conj().T) for S in blocks]

@@ -26,6 +26,15 @@ def dilation_scale(a: float) -> float:
     return abs(a)
 
 
+def support_half_width(max_index: int, dilation: float = 1.0) -> float:
+    """The half-width past which h_{n,a}, n <= ``max_index``, a =
+    ``dilation``, are below rounding: their oscillator support
+    sqrt(2n+1) sqrt|a| plus BUILD_PAD, and at least MIN_HALF_WIDTH."""
+    root_a = math.sqrt(dilation_scale(dilation))
+    return max(math.sqrt(2 * max_index + 1) * root_a + BUILD_PAD * max(root_a, 1.0),
+               MIN_HALF_WIDTH)
+
+
 def _band(max_index: int, dilation: float) -> float:
     """sqrt(2n+1)/(2 pi sqrt|a|): the frequency reach of h_{n,a}."""
     return math.sqrt(2 * max_index + 1) / (2.0 * math.pi * math.sqrt(dilation_scale(dilation)))
@@ -48,8 +57,8 @@ def _checked_step(step: float) -> float:
 class GridSpec:
     """Grid of ``count`` points x_j = (j - (count-1)/2)*step, the centres of
     ``count`` cells covering [-X, X], X = count*step/2. The points are
-    exactly symmetric under x -> -x, so the Riemann sums of the frame matrix
-    commute with the parity f(x) -> f(-x), as the exact integrals do."""
+    exactly symmetric under x -> -x, so Riemann sums on it commute with the
+    parity f(x) -> f(-x), as the exact integrals do."""
 
     step: float
     count: int
@@ -65,8 +74,11 @@ class GridSpec:
 
     @classmethod
     def build(cls, max_index: int, max_modulation: float = 0.0,
-              dilation: float = 1.0, step: float = DEFAULT_STEP) -> "GridSpec":
-        """Grid sized for Hermite indices up to ``max_index`` dilated by ``dilation``.
+              dilation: float = 1.0, step: float = DEFAULT_STEP,
+              min_half_width: float = 0.0) -> "GridSpec":
+        """Grid sized for Hermite indices up to ``max_index`` dilated by
+        ``dilation`` (``support_half_width``), or to ``min_half_width``
+        where that is wider.
 
         Checks the Nyquist guard step <= ``nyquist_step(max_modulation,
         max_index, dilation)`` against the declared capacities before
@@ -78,9 +90,7 @@ class GridSpec:
         """
         if max_index < 0:
             raise ValueError("max_index must be nonnegative")
-        root_a = math.sqrt(dilation_scale(dilation))
-        half = max(math.sqrt(2 * max_index + 1) * root_a
-                   + BUILD_PAD * max(root_a, 1.0), MIN_HALF_WIDTH)
+        half = max(support_half_width(max_index, dilation), min_half_width)
         grid = cls(step=step, count=int(math.ceil(2.0 * half / _checked_step(step))))
         grid.check_nyquist(max_modulation, max_index, dilation)
         return grid

@@ -25,7 +25,7 @@ from .lattice import DEFAULT_POINT_BUDGET
 TWO_PI = 2.0 * math.pi
 REGION_STEP = 1.0 / 16.0
 # first window degree whose default region is widened in time
-WIDE_REGION_DEGREE = 6
+WIDE_REGION_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def _dilated_region(d: int, dilation: float, step: float = REGION_STEP) -> Regio
     """``_stretched_region`` of the window (h_{0,a},...,h_{d,a}) at the time
     half L_x = sqrt(2d+1) + 8, widened to 2 sqrt(2d+1) + 5 from d =
     WIDE_REGION_DEGREE on: there the ambiguity function of (h_0..h_d) still
-    exceeds 1e-8 of its maximum at sqrt(2d+1) + 8 (below 1e-9 at the widened
-    edge)."""
+    exceeds 1e-8 of its maximum at sqrt(2d+1) + 8 (1.12e-8 at d = 5), and is
+    below 2.5e-9 of it at the widened edge. At d = 4 both edges are 11."""
     if d < 0 or not 0 < step < math.inf:
         raise ValueError("default_region needs d >= 0 and a finite step > 0")
     root = math.sqrt(2 * d + 1)

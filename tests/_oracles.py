@@ -61,17 +61,19 @@ def direct_frame_matrix(spec, grid=None):
     return S
 
 
-def shell_tail_bound(spec):
+def shell_tail_bound(spec, grid=None):
     """``FrameBounds.tail_bound`` summed term by term over every point of the
     summed lattice in the outermost shell r - 1 < |point| <= r (and in the
     spec's box), with no symmetry used: sum |A_gamma|_F^2, A_gamma[i, m] =
     <h_m, pi(gamma) w_i>, on the direct side, and sum ||W_mu||_F ||E_mu||_F
     / |det M|, E_mu[a, b] = <pi(mu) h_a, h_b> and W_mu its window block, on
-    the adjoint side."""
+    the adjoint side; as Riemann sums on ``grid`` (the spec's own grid by
+    default)."""
     from hermgabor.hermite import dilated_hermite_all
     from hermgabor.lattice import covolume
 
-    grid = spec.grid()
+    if grid is None:
+        grid = spec.grid()
     x = grid.points
     a = spec.window_dilation
     K = spec.galerkin_dim

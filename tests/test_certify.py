@@ -629,7 +629,9 @@ def test_window_region_of_consecutive_indices_is_the_default(indices):
 def test_default_region_holds_the_ambiguity(d):
     region = default_region(d)
     root = math.sqrt(2 * d + 1)
-    x_half = root + 8.0 if d <= 5 else 2.0 * root + 5.0
+    # the two formulas meet at d = 4 (both 11.0); from d = 5 on the first
+    # ends where F still exceeds 1e-8 of its maximum
+    x_half = root + 8.0 if d <= 4 else 2.0 * root + 5.0
     assert region.x_half == math.ceil(x_half * 16) / 16
     # F depends on x^2 + (2 pi xi)^2: the xi half is the x half over 2 pi,
     # plus room for an oscillation disc of radius 1
@@ -637,6 +639,21 @@ def test_default_region_holds_the_ambiguity(d):
     F = ambiguity(certification_window(d), region).values
     edge = max(np.abs(F[[0, -1], :]).max(), np.abs(F[:, [0, -1]]).max())
     assert edge <= BOUNDARY_DECAY_TOL * np.abs(F).max()
+
+
+@pytest.mark.parametrize("d", range(41))
+def test_dilated_region_passes_its_boundary_check(d):
+    # the certificate's boundary check on the outer rows and columns of
+    # every default region, its halves rounded up to each step: F is below
+    # BOUNDARY_DECAY_TOL of its maximum F(0) = d + 1 there
+    for step in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
+        for a in (0.5, 1.0, 2.0):
+            region = _dilated_region(d, a, step)
+            w = VectorWindow(range(d + 1), a)
+            x, xi = region.x_axis, region.xi_axis
+            ring = max(np.abs(_laguerre_field(w, x[-1:], xi)).max(),
+                       np.abs(_laguerre_field(w, x, xi[-1:])).max())
+            assert ring <= BOUNDARY_DECAY_TOL * (d + 1), (step, a)
 
 
 @pytest.mark.parametrize("a", [0.25, 1.1, 2.0, 4.0])

@@ -126,6 +126,15 @@ def test_certify_degree_past_the_sampling_grid(capsys):
     assert cert.window_degree == 400 and math.isfinite(cert.ratio)
 
 
+def test_certify_degree_five_on_a_fine_default_region(capsys):
+    # (h_0..h_5)'s default region ends where F is below the boundary
+    # check's 1e-8 of its maximum, whatever the step rounds it up to
+    code, out, err = run(capsys, "certify", "--d", "5", "--matrix",
+                         "0.1,0,0,0.1", "--region-step", "0.01")
+    assert code == 0, err
+    assert certificate_from_json(out).window_degree == 5
+
+
 def test_certify_lattice_coarser_than_the_region(capsys):
     # the oscillation disc (r = 7.07) is wider than the region's xi extent
     code, out, _ = run(capsys, "certify", "--d", "0", "--matrix",

@@ -64,13 +64,16 @@ def test_tail_bound_small():
 SHEARED = LatticeMatrix(0.3, 0.12, -0.05, 0.28)
 
 
-@pytest.mark.parametrize("d, M, K, kw", [
+TAIL_CASES = [
     (0, LatticeMatrix(1.0, 0, 0, 1.0), 12, {}),
     (0, LatticeMatrix(0.5, 0, 0, 0.5), 12, {}),
     (0, LatticeMatrix(1.0, 0, 0, 1.0), 16, {"window_dilation": 2.0}),
     (2, SHEARED.scaled(3.0), 16, {"window_dilation": 2.0}),
     (0, SHEARED, 16, {"component_indices": (1, 4)}),
-])
+]
+
+
+@pytest.mark.parametrize("d, M, K, kw", TAIL_CASES)
 def test_tail_bound_matches_unfolded_shell_sum(d, M, K, kw):
     # shells whose entries decay with the Gaussian envelope rather than
     # cancel: an entry that cancels far below its terms' moduli is rounding
@@ -78,6 +81,17 @@ def test_tail_bound_matches_unfolded_shell_sum(d, M, K, kw):
     spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
     ref = shell_tail_bound(spec)
     assert ref > 0.0
+    tail = frame_bounds(spec, check_convergence=False).tail_bound
+    assert abs(tail - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("d, M, K, kw", TAIL_CASES)
+def test_tail_bound_matches_the_shell_sum_on_a_wider_grid(d, M, K, kw):
+    # the spec's grid holds the outermost shell's integrands, which peak
+    # near half the shift, so widening it moves no digit the bound keeps
+    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+    grid = spec.grid()
+    ref = shell_tail_bound(spec, grid=GridSpec(step=grid.step, count=2 * grid.count))
     tail = frame_bounds(spec, check_convergence=False).tail_bound
     assert abs(tail - ref) <= 1e-12 * ref
 
@@ -136,30 +150,63 @@ def test_projection_parity(K, dilation, frac, angle):
     assert np.max(np.abs(E_minus - np.outer(sigma, sigma) * E)) <= 1e-14
 
 
-@settings(deadline=None, max_examples=60)
-@given(K=st.integers(1, 128), dilation=st.floats(0.3, 3.0),
-       extra=st.integers(0, 1), frac=st.floats(0.0, 1.0),
-       angle=st.floats(0.0, 2 * math.pi))
-@example(K=128, dilation=0.3, extra=0, frac=1.0, angle=0.5 * math.pi)
-@example(K=128, dilation=3.0, extra=1, frac=1.0, angle=0.25 * math.pi)
-def test_phase_matches_the_direct_exponential(K, dilation, extra, frac, angle):
-    # the spec's grid, or one point longer: both parities of the count
-    spec = make_spec(K=K, window_dilation=dilation)
+def _box_points(spec, corners):
+    """Points of the spec's box (|mu1| <= time_cutoff, |mu2| <= freq_cutoff)
+    from ``corners``, pairs in [-1, 1]: the box's corners sit at shifts
+    t = sqrt(2) rho sqrt(a)."""
+    return np.asarray(corners, dtype=float) * [spec.time_cutoff(), spec.freq_cutoff()]
+
+
+corner_lists = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                        min_size=1, max_size=8)
+
+
+@settings(deadline=None, max_examples=40)
+@given(K=st.integers(1, 128), d=st.integers(0, 3), dilation=st.floats(0.3, 3.0),
+       corners=corner_lists, window_rows=st.booleans())
+@example(K=128, d=0, dilation=0.3, corners=[(1.0, 1.0), (-1.0, 0.2), (0.0, 0.0)],
+         window_rows=False)
+@example(K=128, d=3, dilation=3.0, corners=[(0.3, -1.0), (1.0, -1.0)],
+         window_rows=True)
+# theta = pi, which e^{ik theta} rounds to 1e-14 at k ~ 90 unless reduced
+# to a quarter turn
+@example(K=89, d=0, dilation=1.0, corners=[(-0.0625, 0.0)], window_rows=False)
+def test_rotated_projection_matches_the_complex_oracle(K, d, dilation, corners,
+                                                       window_rows):
+    # unsorted points anywhere in the box, on the spec's grid: the window's
+    # rows (the direct side) or every row below K (the adjoint side)
+    assume(K > d)
+    spec = make_spec(d=d, K=K, window_dilation=dilation)
     grid = spec.grid()
-    grid = GridSpec(step=grid.step, count=grid.count + extra)
+    H = dilated_hermite_all(K - 1, dilation, grid.points)
+    mu = _box_points(spec, corners)
+    rows = spec.indices if window_rows else range(K)
+    P = frameop._project(mu, rows, dilation, grid.points, grid.step, H)
+    want = complex_projection(mu, rows, dilation, grid.points, grid.step, H)
+    assert np.max(np.abs(P - want)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=30)
+@given(K=st.integers(1, 128), d=st.integers(0, 3), dilation=st.floats(0.3, 3.0),
+       corners=corner_lists, window_rows=st.booleans())
+@example(K=12, d=0, dilation=1.0, corners=[(1.0, 0.0), (0.9, 0.1)], window_rows=True)
+def test_cropped_projection_matches_the_full_grid(K, d, dilation, corners,
+                                                  window_rows):
+    # a chunk of points in ascending shift, projected on its crop and on
+    # the whole grid
+    assume(K > d)
+    spec = make_spec(d=d, K=K, window_dilation=dilation)
+    grid = spec.grid()
     x = grid.points
-    rho = frac * spec.radius
-    mu = rho * np.array([[math.cos(angle), math.sin(angle)],
-                         [math.sin(angle), -math.cos(angle)],
-                         [0.0, math.sin(angle)], [math.cos(angle), 0.0]])
-    phase = frameop._phase(mu, grid.step, grid.count)
-    want = np.exp(2j * np.pi * mu[:, 1, None] * (x - mu[:, 0, None]))
-    # either side rounds its arguments, up to |2 pi mu2| (|x| + |mu1|), to
-    # a few ulps; the factors' products add a few eps more
-    scale = 1.0 + 2 * np.pi * np.abs(mu[:, 1, None]) * (np.abs(x) + np.abs(mu[:, 0, None]))
-    assert np.all(np.abs(phase - want) <= 4 * np.finfo(float).eps * scale)
-    # mu -> -mu is x -> -x exactly, which keeps the half-lattice fold exact
-    assert np.array_equal(frameop._phase(-mu, grid.step, grid.count), phase[:, ::-1])
+    H = dilated_hermite_all(K - 1, dilation, x)
+    mu = _box_points(spec, corners)
+    t = np.hypot(mu[:, 0], 2 * np.pi * dilation * mu[:, 1])
+    mu, t = mu[np.argsort(t)], np.sort(t)
+    crop = frameop._crop(spec, x, t)
+    rows = spec.indices if window_rows else range(K)
+    P = frameop._project(mu, rows, dilation, x[crop], grid.step, H[:, crop])
+    want = frameop._project(mu, rows, dilation, x, grid.step, H)
+    assert np.max(np.abs(P - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("K", [16, 32, 128])
