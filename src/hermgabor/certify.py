@@ -23,7 +23,10 @@ kept in a small cache (see ``_window_field``). Each lattice then costs its
 resolution check, the oscillation at its radius on the support box widened
 by 2r, and a fold: outside that box the oscillation is at most 2 SUPPORT_TOL
 max|F|, so R moves by at most 2 SUPPORT_TOL max|F| times the region's area
-(see ``certificate``).
+(see ``certificate``). R depends on r only through the disc, the grid
+offsets closer than r: for one window and region it is a step function of
+r, so each disc's R is computed once and kept, one float a disc, with the
+window's field.
 """
 
 from __future__ import annotations
@@ -197,9 +200,16 @@ def oscillation(F: SampledField, r: float) -> SampledField:
         raise ValueError("oscillation needs a real field")
     hx, hxi = F.x_step, F.xi_step
     check_resolution(r, hx, hxi)
+    rows = _disc_rows(hx, hxi, r, values.shape)
+    return SampledField(x_axis=F.x_axis.copy(), xi_axis=F.xi_axis.copy(),
+                        values=_oscillation(values, rows))
+
+
+def _oscillation(values: np.ndarray, rows: list) -> np.ndarray:
+    """The values of ``oscillation`` for the disc rows [(di, w)] that
+    ``_disc_rows`` gives for the field: the grid steps enter only through
+    them."""
     nx, nxi = values.shape
-    # half-widths are nonincreasing in di: visit the rows widest last
-    rows = _disc_rows(hx, hxi, r, values.shape)[::-1]
     # the max side, then the min side, through one run buffer
     run = np.empty_like(values)
     sides = []
@@ -207,7 +217,8 @@ def oscillation(F: SampledField, r: float) -> SampledField:
         np.copyto(run, values)
         disc = values.copy()
         width = 0
-        for di, w in rows:
+        # half-widths are nonincreasing in di: visit the rows widest last
+        for di, w in rows[::-1]:
             for k in range(width + 1, w + 1):
                 op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
                 op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
@@ -221,8 +232,7 @@ def oscillation(F: SampledField, r: float) -> SampledField:
     disc_max -= values
     np.subtract(values, disc_min, out=disc_min)
     np.maximum(disc_max, disc_min, out=disc_max)
-    return SampledField(x_axis=F.x_axis.copy(), xi_axis=F.xi_axis.copy(),
-                        values=disc_max)
+    return disc_max
 
 
 def osc_l1(F: SampledField, r: float) -> float:
@@ -294,11 +304,12 @@ def _decay(values: np.ndarray) -> tuple:
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _window_field(w: VectorWindow, region: Region) -> tuple:
     """The certificate's part that does not depend on the lattice:
-    (F, tv, support), the ambiguity field of w on the region's quadrant plus
-    the row and column across the axes (read-only), its total variation
-    over the region, and the last row and column of F where |F| exceeds
-    SUPPORT_TOL of its maximum; PreconditionError when the region cuts F
-    off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
+    (F, tv, support, ratios), the ambiguity field of w on the region's
+    quadrant plus the row and column across the axes (read-only), its total
+    variation over the region, the last row and column of F where |F|
+    exceeds SUPPORT_TOL of its maximum, and an empty dict in which
+    ``certificate`` keeps R per disc; PreconditionError when the region cuts
+    F off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
 
     Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
     frozen values; an exception is not kept, so a region that cuts F off
@@ -315,7 +326,7 @@ def _window_field(w: VectorWindow, region: Region) -> tuple:
     tv = F.x_step * F.xi_step * _fold(np.abs(gx) + np.abs(gxi))
     for array in (x, xi, values):
         array.flags.writeable = False
-    return F, tv, support
+    return F, tv, support, {}
 
 
 def _support_field(F: SampledField, support: tuple, r: float) -> SampledField:
@@ -356,15 +367,29 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     on a 20 x 20 region. A region that ends inside the support, as every
     default region does, is not cut, and R is the whole quadrant's to the
     last bit.
+
+    R depends on M only through the disc of radius r and its view. Both
+    grow with r, so the view's shape and the disc's offset count name them
+    (r / step and r^2 can round to either side of an offset, so the count
+    alone may not). R is kept under that key in the dict of the window's
+    ``_window_field`` entry, so each disc is computed once per window and
+    region. The dict holds one float per disc requested, at most one per
+    distance between nodes of the quadrant. It is dropped with its entry,
+    and a request that raises stores nothing.
     """
     _check_orthonormal(w)
     if region is None:
         region = _window_region(w)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    F, tv, support = _window_field(w, region)
+    F, tv, support, ratios = _window_field(w, region)
     h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
-    R = h2 * _fold(oscillation(_support_field(F, support, r), r).values)
+    view = _support_field(F, support, r).values
+    rows = _disc_rows(F.x_step, F.xi_step, r, view.shape)
+    offsets = sum((2 * half + 1) * (2 if di else 1) for di, half in rows)
+    R = ratios.get((view.shape, offsets))
+    if R is None:
+        R = ratios[view.shape, offsets] = h2 * _fold(_oscillation(view, rows))
     return Certificate(ratio=R, matrix=M, window_degree=w.degree,
                        eps_disc=2.0 * F.x_step * tv / covolume(M))
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,9 +18,10 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
                                SUPPORT_TOL, _disc_rows, _fold,
-                               _laguerre_field, _window_field,
-                               _window_region)
-from hermgabor.timefreq import WIDE_REGION_DEGREE, _dilated_region
+                               _laguerre_field, _support_field,
+                               _window_field, _window_region)
+from hermgabor.timefreq import (WIDE_REGION_DEGREE, _dilated_region,
+                                _stretched_region)
 
 from _oracles import (full_field_certificate, oscillation_oracle,
                       twisted_convolve)
@@ -389,7 +391,7 @@ def test_field_cache_keys_on_the_window_and_the_region():
 
 def test_cached_field_is_read_only():
     # every caller shares the cached arrays, so none may write to them
-    F, tv, _ = _window_field(certification_window(0), default_region(0))
+    F, tv, _, _ = _window_field(certification_window(0), default_region(0))
     for array in (F.values, F.x_axis, F.xi_axis):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -473,32 +475,35 @@ def test_certificate_matches_full_field_oracle(d, dilation, step, radius,
 
 
 def recorded_oscillations(patch):
-    """The fields the certificate passes to ``oscillation``, recorded through
-    the monkeypatch ``patch``."""
+    """The field values the certificate passes to ``_oscillation``, recorded
+    through the monkeypatch ``patch``: one array per oscillation it runs."""
     seen = []
+    run = certify_module._oscillation
 
-    def record(F, r):
-        seen.append(F)
-        return oscillation(F, r)
+    def record(values, rows):
+        seen.append(values)
+        return run(values, rows)
 
-    patch.setattr(certify_module, "oscillation", record)
+    patch.setattr(certify_module, "_oscillation", record)
     return seen
 
 
 def crop_bound_holds(w, M, region, sub):
-    """Check the certificate's truncation bound for the field ``sub`` that it
-    passed to ``oscillation``: against the oscillation of the whole quadrant,
-    the view's is exact on the support box widened by r and lower by at most
-    2 tau elsewhere, tau = SUPPORT_TOL max|F|, so the folded sums differ by
-    at most 2 tau times the region's area."""
-    F, _, (ix, ixi) = _window_field(w, region)
+    """Check the certificate's truncation bound for the values ``sub`` that it
+    passed to ``_oscillation``: against the oscillation of the whole
+    quadrant, the view's is exact on the support box widened by r and lower
+    by at most 2 tau elsewhere, tau = SUPPORT_TOL max|F|, so the folded sums
+    differ by at most 2 tau times the region's area."""
+    F, _, (ix, ixi), _ = _window_field(w, region)
     r = box_norm(M)
     full = oscillation(F, r).values
-    nx, nxi = sub.values.shape
-    assert np.shares_memory(sub.values, F.values)
-    assert np.array_equal(sub.values, F.values[:nx, :nxi])
+    nx, nxi = sub.shape
+    assert np.shares_memory(sub, F.values)
+    assert np.array_equal(sub, F.values[:nx, :nxi])
     lost = full.copy()
-    lost[:nx, :nxi] -= oscillation(sub, r).values
+    view = SampledField(x_axis=F.x_axis[:nx], xi_axis=F.xi_axis[:nxi],
+                        values=sub)
+    lost[:nx, :nxi] -= oscillation(view, r).values
     mx, mxi = math.ceil(r / F.x_step), math.ceil(r / F.xi_step)
     assert not lost[:ix + mx + 1, :ixi + mxi + 1].any()
     tau = SUPPORT_TOL * np.abs(F.values).max()
@@ -542,7 +547,7 @@ def test_cropped_certificate_matches_full_field_oracle(
             xi_half=math.ceil(widen_xi * (x_half / (2 * math.pi * root_a) + 1)
                               / step) * step,
             x_step=step, xi_step=step)
-        F, _, (ix, ixi) = _window_field(w, region)
+        F, _, (ix, ixi), _ = _window_field(w, region)
         support = max(F.x_axis[ix], F.xi_axis[ixi])
         r = {SUPPORT_RADII[0]: step * (1 + 1e-9),
              SUPPORT_RADII[1]: step * (1 + 1e-9) + frac * (1.0 - step),
@@ -556,6 +561,8 @@ def test_cropped_certificate_matches_full_field_oracle(
     t = math.sqrt(2) * r
     c, s = math.cos(theta), math.sin(theta)
     M = LatticeMatrix(t * c, -t * s, t * s, t * c)
+    # an earlier example may have left this disc's R in the cache
+    _window_field.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         seen = recorded_oscillations(patch)
         cert = certificate(w, M, region)
@@ -574,12 +581,13 @@ def test_oscillation_runs_on_the_support_of_a_square_region(monkeypatch):
     half = math.ceil((math.sqrt(5) + 8.0) / step) * step
     region = Region(x_half=half, xi_half=half, x_step=step, xi_step=step)
     w, M = certification_window(2), LatticeMatrix(0.1, 0.02, -0.03, 0.09)
+    _window_field.cache_clear()
     seen = recorded_oscillations(monkeypatch)
     cert = certificate(w, M, region)
     (sub,) = seen
-    F, _, _ = _window_field(w, region)
-    assert sub.values.shape[0] <= F.values.shape[0]
-    assert 3 * sub.values.shape[1] < F.values.shape[1]
+    F, _, _, _ = _window_field(w, region)
+    assert sub.shape[0] <= F.values.shape[0]
+    assert 3 * sub.shape[1] < F.values.shape[1]
     R, _ = full_field_certificate(w, M, region)
     assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
     crop_bound_holds(w, M, region, sub)
@@ -590,16 +598,217 @@ def test_default_regions_run_the_whole_quadrant(monkeypatch, d):
     # a default region ends inside F's numerical support, so nothing is cut
     # and R is the whole quadrant's fold to the last bit
     w, region = certification_window(d), default_region(d)
-    F, _, _ = _window_field(w, region)
+    F, _, _, _ = _window_field(w, region)
     for M in (LatticeMatrix(0.1, 0, 0, 0.1),
               LatticeMatrix(0.24, 0.096, -0.04, 0.224)):
+        _window_field.cache_clear()
         seen = recorded_oscillations(monkeypatch)
         cert = certificate(w, M, region)
         monkeypatch.undo()
         (sub,) = seen
-        assert sub.values.shape == F.values.shape
+        assert sub.shape == F.values.shape
         r = box_norm(M)
         assert cert.ratio == F.x_step * F.xi_step * _fold(oscillation(F, r).values)
+
+
+def lattice_of_radius(r):
+    """A lattice of box norm r to the last bit: it maps the box's vertices
+    (1/2, 1/2) and (1/2, -1/2) to (r, 0) and (0, r)."""
+    M = LatticeMatrix(r, r, r, -r)
+    assert box_norm(M) == r
+    return M
+
+
+def fresh_ratio(w, r, region):
+    """R of the certificate at radius r from an emptied field cache, and the
+    shape of the view it oscillated."""
+    _window_field.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        seen = recorded_oscillations(patch)
+        R = certificate(w, lattice_of_radius(r), region).ratio
+    (view,) = seen
+    return R, view.shape
+
+
+def offset_distances(hx, hxi, n):
+    """The distinct distances of the grid offsets (i, j), 0 <= i, j <= n,
+    increasing."""
+    i = np.arange(n + 1)
+    return np.unique(np.hypot.outer(i * hx, i * hxi))
+
+
+def square_region(d, step):
+    """A square region as wide in xi as the default region is in x: F's
+    support ends inside it, so the certificate oscillates a view."""
+    half = default_region(d, step).x_half
+    return Region(x_half=half, xi_half=half, x_step=step, xi_step=step)
+
+
+@settings(deadline=None, max_examples=25)
+@given(d=st.integers(0, 4), step=st.sampled_from([1 / 8, 1 / 16]),
+       xi_ratio=st.sampled_from([1.0, 0.5, 2.0]), square=st.booleans(),
+       k=st.integers(1, 40), fracs=st.lists(st.floats(1e-6, 1 - 1e-6),
+                                             min_size=2, max_size=2))
+def test_ratio_is_constant_between_offset_distances(d, step, xi_ratio, square,
+                                                    k, fracs):
+    # R depends on r only through the disc: two radii between consecutive
+    # offset distances give the same R and the same view, each computed
+    # from an emptied cache
+    base = square_region(d, step) if square else default_region(d, step)
+    hxi = step * xi_ratio
+    region = Region(x_half=base.x_half,
+                    xi_half=math.ceil(base.xi_half / hxi) * hxi,
+                    x_step=step, xi_step=hxi)
+    dist = offset_distances(step, hxi, 20)
+    lo, hi = dist[k], dist[k + 1]
+    w = certification_window(d)
+    (R1, view1), (R2, view2) = (fresh_ratio(w, lo + f * (hi - lo), region)
+                                for f in fracs)
+    assert R1 == R2 and view1 == view2
+
+
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("n, below, above", [(2, 2, 5), (5, 20, 26)])
+def test_each_side_of_an_offset_distance_gets_its_own_disc(square, n, below,
+                                                           above):
+    # the offsets at distance n h (of squared length n^2: (2, 0), and also
+    # (3, 4) for n = 5) lie outside the disc of radius n h, a float to the
+    # last bit, and inside the disc of radius n h (1 + 1e-12); the nearest
+    # offset distances are sqrt(below) h and sqrt(above) h
+    step = 1 / 16
+    region = square_region(1, step) if square else default_region(1, step)
+    w = certification_window(1)
+    edge = n * step
+    inside = fresh_ratio(w, 0.5 * (math.sqrt(below) * step + edge), region)
+    outside = fresh_ratio(w, 0.5 * (edge + math.sqrt(above) * step), region)
+    assert fresh_ratio(w, edge, region) == inside
+    assert fresh_ratio(w, edge * (1 + 1e-12), region) == outside
+    assert inside[0] < outside[0]
+
+
+@pytest.mark.parametrize("square, xi_step", [(False, 1 / 16), (True, 1 / 16),
+                                             (False, 3 / 64)])
+def test_memo_hit_equals_a_fresh_certificate(monkeypatch, square, xi_step):
+    # on one cache, lattices at a radius inside each interval between
+    # offset distances up to 6 h, out and back at other rotations: each
+    # disc is oscillated once, and every certificate, eps_disc included,
+    # is the one an emptied cache gives, to the last bit; with unequal
+    # steps some discs differ only by a row of one offset
+    step = 1 / 16
+    base = square_region(2, step) if square else default_region(2, step)
+    region = Region(x_half=base.x_half,
+                    xi_half=math.ceil(base.xi_half / xi_step) * xi_step,
+                    x_step=step, xi_step=xi_step)
+    w = certification_window(2)
+    dist = offset_distances(step, xi_step, 8)
+    dist = dist[(dist > step) & (dist <= 6 * step)]
+    radii = 0.5 * (dist[:-1] + dist[1:])
+    # t R(theta) maps the box [-1/2, 1/2]^2 onto a square of half-diagonal
+    # t / sqrt(2)
+    lattices = [LatticeMatrix(t * math.cos(a), -t * math.sin(a),
+                              t * math.sin(a), t * math.cos(a))
+                for t, a in [(math.sqrt(2) * r, 0.3) for r in radii]
+                + [(math.sqrt(2) * r, 2.0) for r in radii[::-1]]]
+    _window_field.cache_clear()
+    seen = recorded_oscillations(monkeypatch)
+    warm = [certificate(w, M, region) for M in lattices]
+    assert len(seen) == len(radii)
+    monkeypatch.undo()
+    for M, cert in zip(lattices, warm):
+        _window_field.cache_clear()
+        fresh = certificate(w, M, region)
+        assert cert == fresh
+        assert cert.ratio.hex() == fresh.ratio.hex()
+    assert len({cert.ratio for cert in warm}) == len(radii)
+
+
+def test_memo_is_dropped_with_its_entry(monkeypatch):
+    # after cache_clear(), or after _FIELD_CACHE_SIZE other windows, the
+    # window's next certificate runs its oscillation again
+    region = default_region(_FIELD_CACHE_SIZE, step=1 / 8)
+    w, M = VectorWindow((0,)), LatticeMatrix(0.3, 0.1, 0.0, 0.3)
+    _window_field.cache_clear()
+    seen = recorded_oscillations(monkeypatch)
+    first = certificate(w, M, region)
+    assert certificate(w, M, region) == first and len(seen) == 1
+    _window_field.cache_clear()
+    assert certificate(w, M, region) == first and len(seen) == 2
+    others = [VectorWindow((k,)) for k in range(1, _FIELD_CACHE_SIZE + 1)]
+    for other in others:
+        certificate(other, M, region)
+    certificate(others[-1], M, region)
+    assert len(seen) == 2 + len(others)
+    assert certificate(w, M, region) == first
+    assert len(seen) == 3 + len(others)
+
+
+def test_raising_certificate_stores_nothing(monkeypatch):
+    w, region = certification_window(1), default_region(1)
+    M = LatticeMatrix(0.2, 0.0, 0.05, 0.2)
+    _window_field.cache_clear()
+    certificate(w, LatticeMatrix(0.3, 0.0, 0.0, 0.3), region)
+    ratios = _window_field(w, region)[3]
+    stored = dict(ratios)
+    info = _window_field.cache_info()
+    # below the step: no disc, and the cache is not consulted
+    with pytest.raises(ResolutionError):
+        certificate(w, lattice_of_radius(0.5 * region.x_step), region)
+    assert _window_field.cache_info() == info and ratios == stored
+
+    # an oscillation that raises leaves no R behind
+    def fail(values, rows):
+        raise MemoryError
+
+    monkeypatch.setattr(certify_module, "_oscillation", fail)
+    with pytest.raises(MemoryError):
+        certificate(w, M, region)
+    assert ratios == stored
+    monkeypatch.undo()
+    seen = recorded_oscillations(monkeypatch)
+    certificate(w, M, region)
+    assert len(seen) == 1 and len(ratios) == len(stored) + 1
+
+    # a region that cuts F off keeps no entry, so it fails on every call
+    cut = Region(x_half=2.0, xi_half=3.0, x_step=1 / 16, xi_step=1 / 16)
+    size = _window_field.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="region boundary"):
+            certificate(w, M, cut)
+        assert _window_field.cache_info().currsize == size
+    assert not seen[1:]
+
+
+@settings(deadline=None, max_examples=25)
+@given(d=st.integers(0, 6), dilation=st.floats(0.5, 2.0),
+       step=st.sampled_from([1 / 8, 1 / 16, 1 / 32]),
+       widen=st.floats(1.0, 2.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@example(d=0, dilation=1.0, step=1 / 32, widen=2.0, fracs=[0.0, 0.5, 1.0])
+@example(d=6, dilation=0.5, step=1 / 8, widen=1.0, fracs=[0.0, 0.9, 1.0])
+def test_ratio_is_nondecreasing_in_the_radius(d, dilation, step, widen, fracs):
+    # nested radii from just above the step to past F's support box: a
+    # larger disc holds the smaller one, so on the smaller disc's view its
+    # oscillation is at least as large at every node, and R grows up to the
+    # fold's rounding
+    w = VectorWindow(range(d + 1), dilation)
+    while True:
+        region = _stretched_region(widen * default_region(d, step).x_half,
+                                   dilation, step)
+        F, _, support, _ = _window_field(w, region)
+        far = 1.1 * max(F.x_axis[support[0]], F.xi_axis[support[1]])
+        work = 2 * far / step * F.values.size
+        if work <= ORACLE_WORK or step == 1 / 8:
+            break
+        step *= 2
+    near = step * (1 + 1e-9)
+    radii = sorted(near * (far / near) ** f for f in fracs)
+    ratios = [certificate(w, lattice_of_radius(r), region).ratio
+              for r in radii]
+    for (r1, R1), (r2, R2) in itertools.pairwise(zip(radii, ratios)):
+        assert R1 <= R2 * (1 + 1e-14)
+        view = _support_field(F, support, r1)
+        assert np.all(oscillation(view, r2).values
+                      >= oscillation(view, r1).values)
 
 
 @pytest.mark.parametrize("indices", [(n,) for n in range(61)] + [(0, 5), (2, 7)])
