@@ -62,3 +62,10 @@ code=0
 hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.1 2> nyquist.txt || code=$?
 test "$code" -eq 2
 grep -q Nyquist nyquist.txt
+# the glgrid row at det = 1/(d+1) is not a frame (the criterion is
+# strict), and a ladder over the point budget is rejected with exit 3
+hermgabor glgrid --d 4 --det-max 0.2 --steps 1 | tail -n 1 | grep -qx '0.20000000000000001,0.20000000000000001,false'
+code=0
+hermgabor glgrid --d 0 --steps 10000001 2> budget.txt || code=$?
+test "$code" -eq 3
+grep -q "exceeds point budget" budget.txt

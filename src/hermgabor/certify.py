@@ -19,14 +19,13 @@ Only the radius r depends on the lattice. F on the quadrant, its
 boundary-decay check, its total variation and the box that holds its
 numerical support (|F| > SUPPORT_TOL of its maximum) depend on the window
 and the region alone, so they are computed once per window and region and
-kept in a small cache (see ``_window_field``). Each lattice then costs its
-resolution check, the oscillation at its radius on the support box widened
-by 2r, and a fold: outside that box the oscillation is at most 2 SUPPORT_TOL
-max|F|, so R moves by at most 2 SUPPORT_TOL max|F| times the region's area
-(see ``certificate``). R depends on r only through the disc, the grid
-offsets closer than r: for one window and region it is a step function of
-r, so each disc's R is computed once and kept, one float a disc, with the
-window's field.
+kept in a small cache (see ``_window_field``). A lattice enters R only
+through its disc, the grid offsets closer than r: R is a function of the
+window, the region and the disc. Each disc costs one oscillation, on the
+support box widened by twice the disc's reach on each axis, and a fold:
+outside that box the oscillation is at most 2 SUPPORT_TOL max|F|, so R
+moves by at most 2 SUPPORT_TOL max|F| times the region's area (see
+``certificate``). Its R is kept, one float a disc, with the window's field.
 """
 
 from __future__ import annotations
@@ -329,16 +328,6 @@ def _window_field(w: VectorWindow, region: Region) -> tuple:
     return F, tv, support, {}
 
 
-def _support_field(F: SampledField, support: tuple, r: float) -> SampledField:
-    """The view of F on its rows and columns up to the support's last ones
-    plus 2 ceil(r / step) on each axis: up to the support widened by r, a
-    node's whole disc of radius r lies in the view."""
-    nx, nxi = (last + 2 * math.ceil(min(r / step, size)) + 1 for last, step, size
-               in zip(support, (F.x_step, F.xi_step), F.values.shape))
-    return SampledField(x_axis=F.x_axis[:nx], xi_axis=F.xi_axis[:nxi],
-                        values=F.values[:nx, :nxi])
-
-
 def certificate(w: VectorWindow, M: LatticeMatrix,
                 region: Region = None) -> Certificate:
     """Oscillation certificate for G(w, M(Z^2)) at radius r = ||M||, from
@@ -357,25 +346,27 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     region; only the oscillation depends on M.
 
     The oscillation runs on the quadrant's rows and columns up to the last
-    ones where |F| > tau = SUPPORT_TOL max|F|, plus 2 ceil(r / step) more
-    on each axis (``_support_field``). A node within r of that support box
-    sees its whole disc there, so its oscillation is exact. Every other
-    node's disc holds only values |F| <= tau, so its oscillation is at most
-    2 tau; the view truncates it (lower, never negative) or leaves it out
-    (zero). Hence R is within 2 tau times the region's area, its node count
-    times x_step * xi_step, of the whole quadrant's R: 2e-27 for max|F| = 3
-    on a 20 x 20 region. A region that ends inside the support, as every
-    default region does, is not cut, and R is the whole quadrant's to the
-    last bit.
+    ones where |F| > tau = SUPPORT_TOL max|F|, plus twice the disc's reach
+    on each axis: 2 len(rows) more rows and 2 (w_0 + 1) more columns, w_0
+    the half-width of the disc's row di = 0. A node within r of that
+    support box sees its whole disc there, so its oscillation is exact.
+    Every other node's disc holds only values |F| <= tau, so its
+    oscillation is at most 2 tau; the view truncates it (lower, never
+    negative) or leaves it out (zero). Hence R is within 2 tau times the
+    region's area, its node count times x_step * xi_step, of the whole
+    quadrant's R: 2e-27 for max|F| = 3 on a 20 x 20 region. A region that
+    ends inside the support, as every default region does, is not cut, and
+    R is the whole quadrant's to the last bit.
 
-    R depends on M only through the disc of radius r and its view. Both
-    grow with r, so the view's shape and the disc's offset count name them
-    (r / step and r^2 can round to either side of an offset, so the count
-    alone may not). R is kept under that key in the dict of the window's
-    ``_window_field`` entry, so each disc is computed once per window and
-    region. The dict holds one float per disc requested, at most one per
-    distance between nodes of the quadrant. It is dropped with its entry,
-    and a request that raises stores nothing.
+    R depends on M only through the disc of radius r, and the view is sized
+    from the disc, so R is a function of the window, the region and the
+    disc. The discs of one quadrant are nested in r and each larger one
+    holds more offsets, so the disc's offset count names it. R is kept
+    under that count in the dict of the window's ``_window_field`` entry, so
+    each disc is computed once per window and region. The dict holds one
+    float per disc requested, at most one per distance between nodes of the
+    quadrant. It is dropped with its entry, and a request that raises
+    stores nothing.
     """
     _check_orthonormal(w)
     if region is None:
@@ -384,12 +375,13 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
     check_resolution(r, region.x_step, region.xi_step)
     F, tv, support, ratios = _window_field(w, region)
     h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
-    view = _support_field(F, support, r).values
-    rows = _disc_rows(F.x_step, F.xi_step, r, view.shape)
+    rows = _disc_rows(F.x_step, F.xi_step, r, F.values.shape)
     offsets = sum((2 * half + 1) * (2 if di else 1) for di, half in rows)
-    R = ratios.get((view.shape, offsets))
+    R = ratios.get(offsets)
     if R is None:
-        R = ratios[view.shape, offsets] = h2 * _fold(_oscillation(view, rows))
+        view = F.values[:support[0] + 2 * len(rows) + 1,
+                        :support[1] + 2 * (rows[0][1] + 1) + 1]
+        R = ratios[offsets] = h2 * _fold(_oscillation(view, rows))
     return Certificate(ratio=R, matrix=M, window_degree=w.degree,
                        eps_disc=2.0 * F.x_step * tv / covolume(M))
 

@@ -259,9 +259,14 @@ def _prepare_glgrid(cfg: dict):
     steps = cfg.get("steps", 24)
     if steps < 1 or not det_max > 0:
         raise PreconditionError("glgrid needs --steps >= 1 and --det-max > 0")
+    if steps > DEFAULT_POINT_BUDGET:
+        raise BudgetError(f"glgrid ladder of {steps} rows exceeds point budget "
+                          f"{DEFAULT_POINT_BUDGET}")
     dets = [det_max * k / steps for k in range(1, steps + 1)]
-    preds = [gl_predicate(LatticeMatrix(math.sqrt(det), 0.0, 0.0,
-                                        math.sqrt(det)), d) for det in dets]
+    # diag(2^k, det 2^-k) has covolume det to the last bit (sqrt(det)^2 may
+    # round below it), and entries within a factor 2 of each other
+    preds = [gl_predicate(LatticeMatrix(h, 0.0, 0.0, det / h), d)
+             for det in dets for h in [2.0 ** (math.frexp(det)[1] // 2)]]
     thr = 1.0 / (d + 1)
     lines = ["det,threshold,is_frame_predicate"] + [
         f"{det:.17g},{thr:.17g},{str(pred).lower()}"

@@ -170,7 +170,7 @@ class GaborSystemSpec:
         is no finer than ``DEFAULT_STEP``; a finer one raises CapacityError.
         It reaches rho sqrt(a)/2 + pad at least (rho sqrt(a) the time
         cutoff), where the integrands of the outermost shell peak."""
-        max_index = max(self.galerkin_dim - 1, self.max_window_index)
+        max_index = self.galerkin_dim - 1
         cutoff = self.freq_cutoff()
         a = self.window_dilation
         step = max(DEFAULT_STEP, nyquist_step(cutoff, max_index, a))
@@ -240,7 +240,7 @@ def _crop(spec: GaborSystemSpec, x: np.ndarray, t: np.ndarray) -> slice:
     above rounding. Each factor is below it past S, and a product of two
     tails peaks near t/2."""
     a = spec.window_dilation
-    S = support_half_width(max(spec.galerkin_dim - 1, spec.max_window_index), a)
+    S = support_half_width(spec.galerkin_dim - 1, a)
     lo, hi = np.searchsorted(x, [t[0] - S, max(S, 0.5 * t[-1] + _shift_pad(a))])
     return slice(lo, hi)
 
@@ -273,8 +273,7 @@ def _assemble(spec: GaborSystemSpec):
     K = spec.galerkin_dim
     c = len(rows)
 
-    basis = dilated_hermite_all(max(K - 1, spec.max_window_index), a, x)
-    H = basis[:K]                       # (K, N) orthonormal test functions
+    H = dilated_hermite_all(K - 1, a, x)    # (K, N) orthonormal test functions
     r_cut = spec.radius
     lattice = spec.summed_lattice
     adjoint = lattice != spec.matrix
@@ -387,18 +386,14 @@ def is_frame(spec: GaborSystemSpec) -> str:
     needs convergence against the nested K/2 compression read off the same
     matrix, where A_K <= A_{K/2} and B_K >= B_{K/2} by interlacing.
     """
-    classes, blocks, _ = _assemble(spec)
-    A, B = _extremal(blocks)
-    ratio = A / B if B > 0 else 0.0
+    fb = frame_bounds(spec)
+    ratio = fb.A_est / fb.B_est if fb.B_est > 0 else 0.0
     if ratio < FRAME_RATIO_TOL and spec.galerkin_dim < REFUTATION_GALERKIN_DIM:
-        spec = spec.with_dim(REFUTATION_GALERKIN_DIM)
-        classes, blocks, _ = _assemble(spec)
-        A, B = _extremal(blocks)
-        ratio = A / B if B > 0 else 0.0
-    converged = _converged(classes, blocks, spec, A, B)
-    if converged and ratio > FRAME_RATIO_TOL:
+        fb = frame_bounds(spec.with_dim(REFUTATION_GALERKIN_DIM))
+        ratio = fb.A_est / fb.B_est if fb.B_est > 0 else 0.0
+    if fb.converged and ratio > FRAME_RATIO_TOL:
         return "frame"
-    if converged and ratio < FRAME_RATIO_TOL / 10.0:
+    if fb.converged and ratio < FRAME_RATIO_TOL / 10.0:
         return "not_frame"
     return "inconclusive"
 

@@ -18,7 +18,7 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
                                SUPPORT_TOL, _disc_rows, _fold,
-                               _laguerre_field, _support_field,
+                               _laguerre_field, _oscillation,
                                _window_field, _window_region)
 from hermgabor.timefreq import (WIDE_REGION_DEGREE, _dilated_region,
                                 _stretched_region)
@@ -722,6 +722,73 @@ def test_memo_hit_equals_a_fresh_certificate(monkeypatch, square, xi_step):
     assert len({cert.ratio for cert in warm}) == len(radii)
 
 
+def disc_middle(rows, hx, hxi):
+    """The radius halfway between the farthest offset of the disc [(di, w)]
+    and the nearest one outside it: a radius of the same disc on a grid
+    whose steps differ from hx, hxi in the last bits."""
+    inside = max(math.hypot(di * hx, w * hxi) for di, w in rows)
+    outside = min([math.hypot(di * hx, (w + 1) * hxi) for di, w in rows]
+                  + [len(rows) * hx])
+    return 0.5 * (inside + outside)
+
+
+@pytest.mark.parametrize("hx, hxi", [(0.03, 0.03), (0.1, 0.1),
+                                     (1 / 16, 3 / 64)])
+def test_disc_alone_keys_the_ratio(monkeypatch, hx, hxi):
+    # radii at the offset distances and a float to either side, where
+    # r / step and r^2 can round to different sides of an offset, out and
+    # back on one cache: each disc of the quadrant (its ``_disc_rows``) is
+    # oscillated once, on a view that meets the crop bound; its R is the
+    # whole region's to 1e-13; and every certificate, hit or miss, is the
+    # one an emptied cache gives, to the last bit. The region reaches past
+    # F's support on both axes, so the view crops rows and columns.
+    region = Region(x_half=math.ceil(20 / hx) * hx,
+                    xi_half=math.ceil(5 / hxi) * hxi, x_step=hx, xi_step=hxi)
+    w = certification_window(1)
+    radii = [r for dist in offset_distances(hx, hxi, 5)
+             for r in (math.nextafter(dist, -math.inf), dist,
+                       math.nextafter(dist, math.inf))
+             if r > min(hx, hxi)]
+    radii += radii[::-1]
+    _window_field.cache_clear()
+    F, _, support, _ = _window_field(w, region)
+    seen = recorded_oscillations(monkeypatch)
+    misses, warm = {}, []
+    for r in radii:
+        M = lattice_of_radius(r)
+        warm.append(certificate(w, M, region))
+        rows = tuple(_disc_rows(F.x_step, F.xi_step, r, F.values.shape))
+        if rows not in misses:
+            misses[rows] = M, warm[-1]
+        assert len(seen) == len(misses)
+    monkeypatch.undo()
+    full = ambiguity(w, region)
+    for (rows, (M, cert)), sub in zip(misses.items(), seen):
+        crop_bound_holds(w, M, region, sub)
+        # the view is the support box widened by 2 ceil(r / step) on each
+        # axis, at a radius of the disc where r / step and r^2 agree
+        mid = disc_middle(rows, hx, hxi)
+        assert sub.shape == tuple(
+            min(last + 2 * math.ceil(mid / step) + 1, size) for last, step, size
+            in zip(support, (hx, hxi), F.values.shape))
+        # the whole region's field takes its steps from its axes, so one
+        # float from an offset distance it may round to another disc: the
+        # oracle takes the middle of the disc's radii, or the disc's own
+        # rows where only rounding makes the disc (at 5 sqrt(2) h, (5, 5)
+        # is in and (1, 7) out)
+        if _disc_rows(full.x_step, full.xi_step, mid,
+                      full.values.shape) == list(rows):
+            R, _ = full_field_certificate(w, lattice_of_radius(mid), region)
+        else:
+            R = full.x_step * full.xi_step * float(
+                np.sum(_oscillation(full.values, list(rows))))
+        assert cert.ratio == pytest.approx(R, rel=1e-13, abs=0)
+    for r, cert in zip(radii, warm):
+        _window_field.cache_clear()
+        fresh = certificate(w, lattice_of_radius(r), region)
+        assert cert == fresh and cert.ratio.hex() == fresh.ratio.hex()
+
+
 def test_memo_is_dropped_with_its_entry(monkeypatch):
     # after cache_clear(), or after _FIELD_CACHE_SIZE other windows, the
     # window's next certificate runs its oscillation again
@@ -806,7 +873,12 @@ def test_ratio_is_nondecreasing_in_the_radius(d, dilation, step, widen, fracs):
               for r in radii]
     for (r1, R1), (r2, R2) in itertools.pairwise(zip(radii, ratios)):
         assert R1 <= R2 * (1 + 1e-14)
-        view = _support_field(F, support, r1)
+        # the view the certificate oscillates at r1, sized from its disc
+        rows = _disc_rows(F.x_step, F.xi_step, r1, F.values.shape)
+        nx = support[0] + 2 * len(rows) + 1
+        nxi = support[1] + 2 * (rows[0][1] + 1) + 1
+        view = SampledField(x_axis=F.x_axis[:nx], xi_axis=F.xi_axis[:nxi],
+                            values=F.values[:nx, :nxi])
         assert np.all(oscillation(view, r2).values
                       >= oscillation(view, r1).values)
 

@@ -171,6 +171,17 @@ def test_glgrid_csv(capsys):
         assert (r[2] == "true") == (float(r[0]) < 0.5)
 
 
+def test_glgrid_threshold_row_is_not_a_frame(capsys):
+    # the criterion |det| < 1/(d+1) is strict: the row at det = 1/(d+1) is
+    # false for every degree, also where sqrt(det)^2 rounds below det
+    for d in range(1001):
+        det = 1.0 / (d + 1)
+        code, out, _ = run(capsys, "glgrid", "--d", str(d), "--det-max",
+                           repr(det), "--steps", "1")
+        assert code == 0
+        assert out.splitlines()[1] == f"{det:.17g},{det:.17g},false"
+
+
 def test_covariance(capsys):
     code, out, _ = run(capsys, "covariance", "--d", "0", "--matrix",
                        "0.4,0,0,0.4", "--b", "2", "--K", "16")
@@ -289,6 +300,7 @@ REJECTED = [
     ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 0.001", 3,
      "exceeds point budget"),
     ("hermite --n 1000000000 --x 0", 3, "exceeds point budget"),
+    ("glgrid --d 0 --steps 10000001", 3, "exceeds point budget"),
     # a half over a subnormal step overflowed while rounding: a traceback
     ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 1e-320", 3,
      "exceeds point budget"),
