@@ -1,13 +1,31 @@
 """Constructive frame certificates from oscillation of the ambiguity function.
 
 The chain: F = V_f f is the reproducing kernel of the transform range under
-twisted convolution (G = G # F there), oscillation of F controls oscillation
-of every G in the range, and an oscillation ratio R = ||osc_r(F)||_1 < 1 at
-r = ||M|| certifies the two-sided sampling estimate, hence frame bounds
+twisted convolution (G = G # F there). For G in the range, z = lambda +
+delta and u the displacement from lambda,
 
-    A_cert = (1 - R)^2 / |det M|,   B_cert = (1 + R)^2 / |det M|
+    |G(z) e^{i phi} - G(lambda)|
+        <= int |G(lambda - u)| |F(u + delta) e^{-i pi sigma(u, delta)} - F(u)| du
+
+with a phase phi that depends on (lambda, delta) alone. So the oscillation
+that controls every G in the range is the twisted one, on the Heisenberg
+group,
+
+    osc#_r F(u) = sup_{|delta| < r} |F(u + delta) e^{-i pi sigma(u, delta)} - F(u)|,
+
+and a ratio R# = ||osc#_r F||_1 < 1 at r = ||M|| certifies the two-sided
+sampling estimate (Fuehr & Groechenig, Math. Z. 255, 2007; Feichtinger &
+Groechenig, J. Funct. Anal. 86, 1989), hence frame bounds
+
+    A_cert = (1 - R#)^2 / |det M|,   B_cert = (1 + R#)^2 / |det M|
 
 for any window with orthonormal components.
+
+What is computed is an estimate of that bracket, not a guarantee. R is the
+Euclidean oscillation sup |F(u + delta) - F(u)|, which leaves the phase out
+and is smaller than the twisted one wherever F(u + delta) F(u) > 0, and it
+is sampled on the region's grid, which understates the continuous
+oscillation. ``Certificate`` applies the formulas above to that R.
 
 F of a Hermite window is computed in closed form, as a sum of Laguerre
 functions (see ``ambiguity``); R is computed from the running maxima and
@@ -242,7 +260,10 @@ def osc_l1(F: SampledField, r: float) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Guaranteed frame-bound interval from a measured oscillation ratio.
+    """Frame-bound interval (1 -+ R)^2 / |det M| from a measured oscillation
+    ratio R. An estimate, not a guarantee: the sampling theorem bounds the
+    twisted oscillation of the continuous F, and R is the Euclidean one
+    sampled on the grid (see the module docstring).
 
     ``eps_disc`` is a reported additive discretization error bar
     (2 * step * TV(F) / |det M|); it is not folded into the bounds.

@@ -63,11 +63,8 @@ from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
 from .hermite import dilated_hermite_all, hermite_indices
 
 DEFAULT_GALERKIN_DIM = 64
-REFUTATION_GALERKIN_DIM = 128
 TRUNCATION_MARGIN = 10.0
 CONVERGENCE_REL_TOL = 0.05
-# is_frame's threshold on A/B: 'frame' above it, 'not_frame' below a tenth
-FRAME_RATIO_TOL = 1e-3
 TWO_PI = 2.0 * math.pi
 # window rows projected per chunk on the adjoint side (K per dual point)
 ADJOINT_CHUNK_ROWS = 512
@@ -380,22 +377,28 @@ def frame_bounds(spec: GaborSystemSpec, check_convergence: bool = True) -> Frame
 
 
 def is_frame(spec: GaborSystemSpec) -> str:
-    """Numerical tri-state frame decision: 'frame', 'not_frame' or 'inconclusive'.
+    """'frame', 'not_frame' or 'inconclusive', from the window's indices (c
+    of them, the largest n) and |det M| alone, where a theorem proves it:
 
-    Candidate refutations at small K are re-run at K=128. Either verdict
-    needs convergence against the nested K/2 compression read off the same
-    matrix, where A_K <= A_{K/2} and B_K >= B_{K/2} by interlacing.
+    - a repeated index: 'not_frame' (f_i = -f_j is a null vector);
+    - c |det M| > 1: 'not_frame' (Balan, Contemp. Math. 247, 1999);
+    - |det M| < 1/(n+1): 'frame', since (h_0,...,h_n) is a superframe
+      (Groechenig & Lyubarskii, Math. Ann. 345, 2009) and distinct indices
+      <= n inherit its lower bound on their own components;
+    - otherwise 'not_frame' for the indices {0,...,n}, where that theorem
+      is an "if and only if", and 'inconclusive' for any other window.
+
+    A dilation D_a maps the system to the undilated window on
+    diag(1/sqrt(a), sqrt(a)) M, of the same covolume.
     """
-    fb = frame_bounds(spec)
-    ratio = fb.A_est / fb.B_est if fb.B_est > 0 else 0.0
-    if ratio < FRAME_RATIO_TOL and spec.galerkin_dim < REFUTATION_GALERKIN_DIM:
-        fb = frame_bounds(spec.with_dim(REFUTATION_GALERKIN_DIM))
-        ratio = fb.A_est / fb.B_est if fb.B_est > 0 else 0.0
-    if fb.converged and ratio > FRAME_RATIO_TOL:
-        return "frame"
-    if fb.converged and ratio < FRAME_RATIO_TOL / 10.0:
+    indices = spec.indices
+    c, n = len(indices), max(indices)
+    det = covolume(spec.matrix)
+    if len(set(indices)) < c or c * det > 1.0:
         return "not_frame"
-    return "inconclusive"
+    if det < 1.0 / (n + 1):
+        return "frame"
+    return "not_frame" if c == n + 1 else "inconclusive"
 
 
 def component_bound_aggregate(spec: GaborSystemSpec) -> dict:

@@ -13,7 +13,7 @@ Phase convention: T_x M_xi w(t) = exp(2*pi*i*xi*(t - x)) * w(t - x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,23 +107,26 @@ def _round_up(half: float, step: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """Real or complex field on the time-frequency plane, indexed (x, xi)."""
+    """Real or complex field on the time-frequency plane, indexed (x, xi).
+
+    ``x_step`` and ``xi_step`` are set once, each the difference of the
+    axis node nearest 0 and its neighbour. On a region's axis, step *
+    arange(-n, n + 1), that node is 0 and its neighbour step * 1, so the
+    step is the region's to the last bit; x_axis[1] - x_axis[0] rounds away
+    from it far from 0 (0.09999999999999787 for step 0.1 at half 20)."""
 
     x_axis: np.ndarray
     xi_axis: np.ndarray
     values: np.ndarray
+    x_step: float = field(init=False)
+    xi_step: float = field(init=False)
 
     def __post_init__(self):
         if self.values.shape != (self.x_axis.size, self.xi_axis.size):
             raise ValueError("field dimensions do not match axes")
-
-    @property
-    def x_step(self) -> float:
-        return float(self.x_axis[1] - self.x_axis[0])
-
-    @property
-    def xi_step(self) -> float:
-        return float(self.xi_axis[1] - self.xi_axis[0])
+        for name, axis in (("x_step", self.x_axis), ("xi_step", self.xi_axis)):
+            i = min(int(np.argmin(np.abs(axis))), axis.size - 2)
+            object.__setattr__(self, name, float(axis[i + 1] - axis[i]))
 
 
 def stft(window: VectorWindow, region: Region) -> SampledField:

@@ -771,11 +771,10 @@ def test_disc_alone_keys_the_ratio(monkeypatch, hx, hxi):
         assert sub.shape == tuple(
             min(last + 2 * math.ceil(mid / step) + 1, size) for last, step, size
             in zip(support, (hx, hxi), F.values.shape))
-        # the whole region's field takes its steps from its axes, so one
-        # float from an offset distance it may round to another disc: the
-        # oracle takes the middle of the disc's radii, or the disc's own
-        # rows where only rounding makes the disc (at 5 sqrt(2) h, (5, 5)
-        # is in and (1, 7) out)
+        # the oracle takes the middle of the disc's radii, away from the
+        # rounding of r / step and r^2, or the disc's own rows where only
+        # rounding makes the disc (at 5 sqrt(2) h, (5, 5) is in and (1, 7)
+        # out)
         if _disc_rows(full.x_step, full.xi_step, mid,
                       full.values.shape) == list(rows):
             R, _ = full_field_certificate(w, lattice_of_radius(mid), region)
@@ -787,6 +786,26 @@ def test_disc_alone_keys_the_ratio(monkeypatch, hx, hxi):
         _window_field.cache_clear()
         fresh = certificate(w, lattice_of_radius(r), region)
         assert cert == fresh and cert.ratio.hex() == fresh.ratio.hex()
+
+
+def test_whole_region_field_takes_the_certificates_disc():
+    # far from 0, x_axis[1] - x_axis[0] is 0.09999999999999787 for step 0.1
+    # at half 20: a field that read its step so would put osc_l1 on another
+    # disc than the certificate at a radius on an offset distance
+    region = Region(x_half=20.0, xi_half=5.0, x_step=0.1, xi_step=0.1)
+    w = VectorWindow((0, 1))
+    F = ambiguity(w, region)
+    assert (F.x_step, F.xi_step) == (region.x_step, region.xi_step)
+    r0 = math.hypot(0.5, 0.5)
+    ratios = set()
+    for r in (r0, math.nextafter(r0, math.inf), math.nextafter(r0, -math.inf)):
+        M = LatticeMatrix(r, r, r, -r)
+        assert box_norm(M) == r
+        R = certificate(w, M, region).ratio
+        assert osc_l1(F, r) == pytest.approx(R, rel=1e-12, abs=0)
+        ratios.add(R)
+    # each of the three radii takes a disc of its own
+    assert len(ratios) == 3
 
 
 def test_memo_is_dropped_with_its_entry(monkeypatch):

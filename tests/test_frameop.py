@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,13 +276,12 @@ def test_one_assembly_per_test_dimension(monkeypatch):
     assert len(calls) == 1
     component_bound_aggregate(make_spec(d=2, K=16))
     assert len(calls) == 2
+    # the verdict is read off the indices and the covolume: no assembly
     assert is_frame(make_spec(t=0.25, K=32)) == "frame"
-    assert len(calls) == 3
-    # a candidate refutation is re-assembled once, at K = 128
     duplicated = GaborSystemSpec(window_degree=0, matrix=LatticeMatrix(0.5, 0, 0, 0.5),
                                  component_indices=(0, 0), galerkin_dim=16)
     assert is_frame(duplicated) == "not_frame"
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 # (d, matrix, K, extra spec fields): each dense case has a sparse partner on
@@ -448,6 +448,80 @@ def test_spec_validation():
 
 def test_is_frame_positive_case():
     assert is_frame(make_spec(t=0.25, K=32)) == "frame"
+
+
+def exact_covolume(det):
+    """diag(2^k, det 2^-k), as glgrid builds it: covolume det to the last
+    bit, where sqrt(det) I may round below it."""
+    h = 2.0 ** (math.frexp(det)[1] // 2)
+    return LatticeMatrix(h, 0.0, 0.0, det / h)
+
+
+def verdict_spec(indices, M):
+    return GaborSystemSpec(window_degree=0, matrix=M, component_indices=tuple(indices),
+                           galerkin_dim=16)
+
+
+VERDICT_CASES = (
+    # (h_0,...,h_d) on t I with |det|(d+1) = 0.9, 0.95, 0.9, 0.8, 0.56:
+    # superframes, though their converged A_est is 1.7e-5 down to 6.4e-13
+    [(range(d + 1), LatticeMatrix(t, 0, 0, t), "frame")
+     for d, frac in ((1, 0.9), (2, 0.95), (3, 0.9), (4, 0.8), (8, 0.56))
+     for t in [math.sqrt(frac / (d + 1))]]
+    # the superframe threshold itself, where that theorem's "if and only
+    # if" rules (h_0,...,h_d) out
+    + [(range(d + 1), exact_covolume(1.0 / (d + 1)), "not_frame") for d in range(9)]
+    # a repeated index gives a null vector at any density
+    + [((0, 0), exact_covolume(det), "not_frame") for det in (0.01, 0.25)]
+    # (h_0, h_2): a frame below 1/3, Balan's bound above 1/2, neither between
+    + [((0, 2), exact_covolume(det), verdict)
+       for det, verdict in ((0.25, "frame"), (0.4, "inconclusive"), (0.6, "not_frame"))]
+    # h_1 at 2/3: no theorem of the rule applies (Lyubarskii & Nes, ACHA 34,
+    # 2013, rule odd windows out on separable lattices of covolume
+    # (N-1)/N, which the rule does not encode)
+    + [((1,), exact_covolume(2.0 / 3.0), "inconclusive"),
+       ((1, 0), exact_covolume(0.49), "frame")]
+)
+
+
+@pytest.mark.parametrize("indices, M, verdict", VERDICT_CASES)
+def test_is_frame_follows_the_density_theorems(monkeypatch, indices, M, verdict):
+    spec = verdict_spec(indices, M)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_frame assembles nothing")
+
+    monkeypatch.setattr(frameop, "enumerate_points", forbidden)
+    monkeypatch.setattr(frameop, "dilated_hermite_all", forbidden)
+    assert is_frame(spec) == verdict
+
+
+# the unimodular matrices with entries in [-3, 3]: bases of Z^2
+UNIMODULAR = [u for u in (np.array(e).reshape(2, 2) - 3
+                          for e in np.ndindex(7, 7, 7, 7))
+              if abs(round(np.linalg.det(u))) == 1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(indices=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       det=st.floats(0.02, 1.2), U=st.sampled_from(UNIMODULAR),
+       angle=st.floats(-math.pi, math.pi), shear=st.floats(-2.0, 2.0),
+       dilation=st.floats(0.3, 3.0))
+def test_is_frame_is_invariant_under_basis_rotation_shear_and_dilation(
+        indices, det, U, angle, shear, dilation):
+    # away from both thresholds, where the rounding of a new basis could
+    # move the covolume across one
+    for threshold in (1.0 / (max(indices) + 1), 1.0 / len(indices)):
+        assume(abs(det - threshold) > 1e-9 * threshold)
+    spec = verdict_spec(indices, exact_covolume(det))
+    verdict = is_frame(spec)
+    M = spec.matrix.as_array()
+    cos, sin = math.cos(angle), math.sin(angle)
+    for N in (M @ U, np.array([[cos, -sin], [sin, cos]]) @ M,
+              np.array([[1.0, shear], [0.0, 1.0]]) @ M,
+              np.array([[1.0, 0.0], [shear, 1.0]]) @ M):
+        assert is_frame(replace(spec, matrix=LatticeMatrix.from_array(N))) == verdict
+    assert is_frame(replace(spec, window_dilation=dilation)) == verdict
 
 
 def test_component_bracketing():
