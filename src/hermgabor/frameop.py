@@ -85,15 +85,6 @@ def _joint_support(galerkin_dim: int, max_window_index: int) -> float:
     return math.sqrt(2 * galerkin_dim + 1) + math.sqrt(2 * max_window_index + 1)
 
 
-def default_truncation_radius(galerkin_dim: int, max_window_index: int,
-                              dilation: float = 1.0) -> float:
-    """Cross-ambiguity decays like a Gaussian past the joint effective support;
-    the +10 margin puts the omitted tail below 1e-12."""
-    stretch = max(math.sqrt(abs(dilation)), 1.0 / math.sqrt(abs(dilation)))
-    joint = _joint_support(galerkin_dim, max_window_index)
-    return joint * stretch + TRUNCATION_MARGIN
-
-
 @dataclass(frozen=True)
 class GaborSystemSpec:
     """A Gabor system G(window, M(Z^2)) together with its Galerkin test space.
@@ -103,8 +94,8 @@ class GaborSystemSpec:
     degenerate duplicated-Gaussian window). ``window_dilation`` applies D_a
     to window and test basis alike, keeping the Galerkin compression
     unitarily covariant. Construction builds the assembly's grid and the
-    enumeration box of its summed lattice, raising CapacityError or
-    BudgetError there.
+    enumeration box of its truncation ellipse (``radius``), raising
+    CapacityError or BudgetError there.
     """
 
     window_degree: int
@@ -123,7 +114,7 @@ class GaborSystemSpec:
         if not 0 < self.window_dilation < math.inf:
             raise ValueError("window dilation must be finite and positive")
         self.grid()
-        enumeration_box(self.summed_lattice, self.radius, self.point_budget)
+        enumeration_box(self._alpha_lattice(), self.radius, self.point_budget)
 
     @property
     def indices(self) -> tuple:
@@ -137,18 +128,27 @@ class GaborSystemSpec:
 
     @property
     def radius(self) -> float:
-        return default_truncation_radius(self.galerkin_dim, self.max_window_index,
-                                         self.window_dilation)
+        """rho, the joint oscillator support plus 10: both sides sum the
+        ellipse |alpha| <= rho, alpha = (mu1/sqrt(a), 2 pi sqrt(a) mu2). The
+        entries' moduli depend on mu only through |alpha| and decay like a
+        Gaussian past that support, so the margin puts the omitted tail
+        below 1e-12."""
+        return _joint_support(self.galerkin_dim, self.max_window_index) + TRUNCATION_MARGIN
 
     @property
     def summed_lattice(self) -> LatticeMatrix:
         """The lattice the frame matrix is summed over: M, or its adjoint
-        when |det M|^2 K < c. Both sides keep the same box, so the adjoint
-        side has |det M|^2 times as many points; per point it projects K
-        window rows instead of c."""
+        when |det M|^2 K < c. Both sides keep the same ellipse, so the
+        adjoint side has |det M|^2 times as many points; per point it
+        projects K window rows instead of c."""
         if covolume(self.matrix) ** 2 * self.galerkin_dim < len(self.indices):
             return self.matrix.adjoint()
         return self.matrix
+
+    def _alpha_lattice(self) -> LatticeMatrix:
+        """The summed lattice in the coordinates alpha of ``radius``."""
+        root_a = math.sqrt(self.window_dilation)
+        return self.summed_lattice.left_diag(1.0 / root_a, TWO_PI * root_a)
 
     def freq_cutoff(self) -> float:
         """Modulations beyond this couple the window to the test space only
@@ -186,7 +186,7 @@ class FrameBounds:
     A_est overestimates the true A and B_est underestimates the true B
     (restriction to a subspace shrinks the spectrum bracket from inside).
     ``tail_bound`` bounds the spectral norm of the contribution of the
-    outermost unit shell r - 1 < |point| <= r of the summed lattice: on the
+    outermost unit shell rho - 1 < |alpha| <= rho (``GaborSystemSpec.radius``): on the
     direct side the sum of |A_gamma|^2 over its points (the trace of that
     PSD part), on the adjoint side the sum of ||W_mu||_F ||E_mu||_F / |det M|,
     W_mu the c x c window block of E_mu. It is 0 when the shell holds no
@@ -271,23 +271,22 @@ def _assemble(spec: GaborSystemSpec):
     c = len(rows)
 
     H = dilated_hermite_all(K - 1, a, x)    # (K, N) orthonormal test functions
-    r_cut = spec.radius
-    lattice = spec.summed_lattice
-    adjoint = lattice != spec.matrix
-    pts = enumerate_points(lattice, r_cut, budget=spec.point_budget)
-    g = pts.points
-    g1, g2 = g[:, 0], g[:, 1]
-    keep = (np.abs(g1) <= spec.time_cutoff()) & (np.abs(g2) <= spec.freq_cutoff())
-    # the kept set is symmetric under g -> -g: sum one point of each pair
-    # (g1 > 0, or g1 == 0 < g2) at weight 2 and the origin at weight 1
-    g = g[keep & ((g1 > 0) | ((g1 == 0) & (g2 >= 0)))]
-    # in order of the shift t that ``_project`` samples at, so that each
-    # chunk samples only its ``_crop``
-    t = np.hypot(g[:, 0], TWO_PI * a * g[:, 1])
-    order = np.argsort(t)
-    g, t = g[order], t[order]
+    adjoint = spec.summed_lattice != spec.matrix
+    # the truncation ellipse's points in the coordinates alpha of its disc
+    alpha = enumerate_points(spec._alpha_lattice(), spec.radius,
+                             budget=spec.point_budget).points
+    # the set is symmetric under alpha -> -alpha: sum one point of each pair
+    # (alpha1 > 0, or alpha1 == 0 < alpha2) at weight 2 and the origin at weight 1
+    alpha = alpha[(alpha[:, 0] > 0) | ((alpha[:, 0] == 0) & (alpha[:, 1] >= 0))]
+    # in order of the shift t = sqrt(a) |alpha| that ``_project`` samples
+    # at, so that each chunk samples only its ``_crop``
+    r = np.hypot(alpha[:, 0], alpha[:, 1])
+    order = np.argsort(r)
+    root_a = math.sqrt(a)
+    g, r = alpha[order] * [root_a, 1.0 / (TWO_PI * root_a)], r[order]
+    t = root_a * r
     weight = np.where(g.any(axis=1), 2.0, 1.0)
-    in_shell = np.hypot(g[:, 0], g[:, 1]) > r_cut - 1.0
+    in_shell = r > spec.radius - 1.0
 
     classes = _parity_classes(rows, K)
     tail = 0.0

@@ -26,12 +26,28 @@ def sampled_box_norm_oracle(A, rng, n_samples=10 ** 4):
     return best
 
 
+def ellipse_norm(spec, g1, g2):
+    """|alpha|, alpha = (g1/sqrt(a), 2 pi sqrt(a) g2) at the spec's dilation
+    a: the spec's truncation ellipse is |alpha| <= spec.radius."""
+    root_a = np.sqrt(spec.window_dilation)
+    return np.hypot(g1 / root_a, 2 * np.pi * root_a * g2)
+
+
+def ellipse_kmax(spec, A):
+    """Half side of a square of coordinates k holding every point A k of the
+    spec's truncation ellipse: with D = diag(1/sqrt(a), 2 pi sqrt(a)),
+    ||k||_inf <= ||(DA)^{-1}||_2 |DAk| <= ||(DA)^{-1}||_2 spec.radius."""
+    root_a = np.sqrt(spec.window_dilation)
+    DA = np.diag([1.0 / root_a, 2 * np.pi * root_a]) @ A
+    return int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(DA), 2)))
+
+
 def direct_frame_matrix(spec, grid=None):
     """Galerkin frame matrix summed term by term over the lattice M(Z^2):
     S[(i,m),(j,m')] = sum_gamma <pi(gamma) w_i, h_m> <h_m', pi(gamma) w_j>,
     pi(gamma) f(x) = e^{2 pi i gamma2 (x - gamma1)} f(x - gamma1), over the
-    points of the spec's truncation disc and box, as Riemann sums on
-    ``grid`` (the spec's own grid by default)."""
+    points of the spec's truncation ellipse, as Riemann sums on ``grid``
+    (the spec's own grid by default)."""
     from hermgabor.hermite import dilated_hermite_all
 
     if grid is None:
@@ -42,16 +58,14 @@ def direct_frame_matrix(spec, grid=None):
     idx = list(spec.indices)
     H = dilated_hermite_all(K - 1, a, x)
     A = spec.matrix.as_array()
-    kmax = int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(A), 2)))
+    kmax = ellipse_kmax(spec, A)
     S = np.zeros((len(idx) * K,) * 2, dtype=complex)
     for k1 in range(-kmax, kmax + 1):
         # one row k1 of lattice coordinates at a time
         k2 = np.arange(-kmax, kmax + 1)
         gammas = np.column_stack([A[0, 0] * k1 + A[0, 1] * k2,
                                   A[1, 0] * k1 + A[1, 1] * k2])
-        inside = ((np.hypot(gammas[:, 0], gammas[:, 1]) <= spec.radius)
-                  & (np.abs(gammas[:, 0]) <= spec.time_cutoff())
-                  & (np.abs(gammas[:, 1]) <= spec.freq_cutoff()))
+        inside = ellipse_norm(spec, gammas[:, 0], gammas[:, 1]) <= spec.radius
         g1, g2 = gammas[inside, 0, None], gammas[inside, 1, None]
         shifted = dilated_hermite_all(max(idx), a, x - g1)[idx]   # (c, n, N)
         atoms = np.exp(2j * np.pi * g2 * (x - g1)) * shifted      # pi(gamma) w_i
@@ -63,12 +77,12 @@ def direct_frame_matrix(spec, grid=None):
 
 def shell_tail_bound(spec, grid=None):
     """``FrameBounds.tail_bound`` summed term by term over every point of the
-    summed lattice in the outermost shell r - 1 < |point| <= r (and in the
-    spec's box), with no symmetry used: sum |A_gamma|_F^2, A_gamma[i, m] =
-    <h_m, pi(gamma) w_i>, on the direct side, and sum ||W_mu||_F ||E_mu||_F
-    / |det M|, E_mu[a, b] = <pi(mu) h_a, h_b> and W_mu its window block, on
-    the adjoint side; as Riemann sums on ``grid`` (the spec's own grid by
-    default)."""
+    summed lattice in the outermost shell rho - 1 < |alpha| <= rho of the
+    spec's truncation ellipse (``ellipse_norm``), with no symmetry used:
+    sum |A_gamma|_F^2, A_gamma[i, m] = <h_m, pi(gamma) w_i>, on the direct
+    side, and sum ||W_mu||_F ||E_mu||_F / |det M|, E_mu[a, b] = <pi(mu) h_a,
+    h_b> and W_mu its window block, on the adjoint side; as Riemann sums on
+    ``grid`` (the spec's own grid by default)."""
     from hermgabor.hermite import dilated_hermite_all
     from hermgabor.lattice import covolume
 
@@ -82,15 +96,13 @@ def shell_tail_bound(spec, grid=None):
     lattice = spec.summed_lattice
     adjoint = lattice != spec.matrix
     A = lattice.as_array()
-    kmax = int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(A), 2)))
+    kmax = ellipse_kmax(spec, A)
     k1, k2 = (k.ravel() for k in np.meshgrid(np.arange(-kmax, kmax + 1),
                                              np.arange(-kmax, kmax + 1)))
     g1 = A[0, 0] * k1 + A[0, 1] * k2
     g2 = A[1, 0] * k1 + A[1, 1] * k2
-    norm = np.hypot(g1, g2)
-    shell = ((norm <= spec.radius) & (norm > spec.radius - 1.0)
-             & (np.abs(g1) <= spec.time_cutoff())
-             & (np.abs(g2) <= spec.freq_cutoff()))
+    norm = ellipse_norm(spec, g1, g2)
+    shell = (norm <= spec.radius) & (norm > spec.radius - 1.0)
     g1, g2 = g1[shell, None], g2[shell, None]
     phase = np.exp(2j * np.pi * g2 * (x - g1))
     if adjoint:

@@ -65,7 +65,7 @@ def test_bounds_json_file(tmp_path, capsys):
 
 
 def test_bounds_budget_exit_3(tmp_path, capsys):
-    # 1,100,0,1 generates Z^2: its exact box is 3351x35, and its bounds are
+    # 1,100,0,1 generates Z^2: its exact box is 537x7, and its bounds are
     # those of the identity basis
     bounds = []
     for matrix in ("1,100,0,1", "1,0,0,1"):
@@ -76,7 +76,7 @@ def test_bounds_budget_exit_3(tmp_path, capsys):
     sheared, square = bounds
     assert sheared.A_est == pytest.approx(square.A_est, rel=1e-9)
     assert sheared.B_est == pytest.approx(square.B_est, rel=1e-9)
-    # a sparse lattice is summed directly, over a 3x33489127 box
+    # a sparse lattice is summed directly, over a 3x5329961 box
     code, _, err = run(capsys, "bounds", "--d", "0", "--matrix",
                        "1000000,0,0,0.000001", "--K", "16")
     assert code == 3
@@ -247,10 +247,10 @@ def test_validate_nyquist_diagnostic(capsys):
 
 
 def test_validate_budget_diagnostic(capsys):
-    # a large dilation widens the truncation radius, hence the box of the
-    # adjoint lattice this dense one is summed over (2679133x3 at dilation
-    # 1, 3758263x3 at dilation 4)
-    argv = ("bounds", "--d", "0", "--matrix", "80000,0,0,0.0000001",
+    # a large dilation stretches the truncation ellipse along the time axis,
+    # hence the box of the adjoint lattice this dense one is summed over
+    # (3x2679133 at dilation 1, 3x5358263 at dilation 4)
+    argv = ("bounds", "--d", "0", "--matrix", "0.0000001,0,0,80000",
             "--K", "16")
     code, out, _ = run(capsys, *argv, "--validate-only")
     assert code == 0 and out.strip() == "ok"
@@ -286,7 +286,7 @@ REJECTED = [
     ("bounds --d 0", 2, "requires --matrix"),
     ("bounds --d 0 --matrix 1000000,0,0,0.000001 --K 16", 3,
      "exceeds point budget"),
-    ("bounds --d 0 --matrix 80000,0,0,0.0000001 --K 16 --dilation 4", 3,
+    ("bounds --d 0 --matrix 0.0000001,0,0,80000 --K 16 --dilation 4", 3,
      "exceeds point budget"),
     # a non-finite lattice entry was reported as a singular matrix
     ("norm --matrix nan,0,0,1", 2, "finite"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -16,7 +17,8 @@ from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
 from hermgabor.grid import nyquist_step
 
 from _oracles import (assemble_frame_matrix, complex_projection,
-                      direct_frame_matrix, shell_tail_bound)
+                      direct_frame_matrix, ellipse_kmax, ellipse_norm,
+                      shell_tail_bound)
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -65,23 +67,31 @@ def test_tail_bound_small():
 SHEARED = LatticeMatrix(0.3, 0.12, -0.05, 0.28)
 
 
+# (d, matrix, K, extra spec fields) whose outermost shell's entries decay
+# with the Gaussian envelope rather than cancel. On the direct side
+# diag(b, 3) puts every point with k2 != 0 beyond the ellipse, so the shell
+# holds time shifts only; a shell of modulated points cancels there far
+# below its terms' moduli, to rounding noise in either sum that moves with
+# the grid's step
 TAIL_CASES = [
-    (0, LatticeMatrix(1.0, 0, 0, 1.0), 12, {}),
+    (0, LatticeMatrix(1.0, 0, 0, 3.0), 12, {}),
     (0, LatticeMatrix(0.5, 0, 0, 0.5), 12, {}),
-    (0, LatticeMatrix(1.0, 0, 0, 1.0), 16, {"window_dilation": 2.0}),
-    (2, SHEARED.scaled(3.0), 16, {"window_dilation": 2.0}),
+    (0, LatticeMatrix(1.0, 0, 0, 3.0), 16, {"window_dilation": 2.0}),
+    (2, LatticeMatrix(1.2, 0, 0, 3.0), 16, {"window_dilation": 2.0}),
     (0, SHEARED, 16, {"component_indices": (1, 4)}),
 ]
 
 
 @pytest.mark.parametrize("d, M, K, kw", TAIL_CASES)
 def test_tail_bound_matches_unfolded_shell_sum(d, M, K, kw):
-    # shells whose entries decay with the Gaussian envelope rather than
-    # cancel: an entry that cancels far below its terms' moduli is rounding
-    # noise in either sum
+    # a shell that decays rather than cancels: the oracle's sum does not
+    # move at half the step
     spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+    grid = spec.grid()
     ref = shell_tail_bound(spec)
     assert ref > 0.0
+    finer = shell_tail_bound(spec, grid=GridSpec(step=grid.step / 2, count=2 * grid.count))
+    assert abs(finer - ref) <= 1e-12 * ref
     tail = frame_bounds(spec, check_convergence=False).tail_bound
     assert abs(tail - ref) <= 1e-12 * ref
 
@@ -221,15 +231,15 @@ def test_cropped_projection_matches_the_full_grid(K, d, dilation, corners,
 def test_projection_matches_the_complex_oracle(K, dilation):
     # the direct side projects the window's rows (in the spec's order, or
     # reordered), the adjoint side every row below K; points cover the
-    # spec's truncation disc inside its box
+    # spec's truncation ellipse, whose semi-axes are the two cutoffs
     spec = make_spec(d=2, K=K, window_dilation=dilation)
     grid = spec.grid()
     H = dilated_hermite_all(K - 1, dilation, grid.points)
     rng = np.random.default_rng(K)
-    rho = spec.radius * np.sqrt(rng.random(16))
+    frac = np.sqrt(rng.random(16))
     angle = rng.uniform(0.0, 2 * math.pi, 16)
-    mu = np.column_stack([np.clip(rho * np.cos(angle), -spec.time_cutoff(), spec.time_cutoff()),
-                          np.clip(rho * np.sin(angle), -spec.freq_cutoff(), spec.freq_cutoff())])
+    mu = np.column_stack([frac * np.cos(angle) * spec.time_cutoff(),
+                          frac * np.sin(angle) * spec.freq_cutoff()])
     for rows in ((0, 1, 2), (2, 0), range(K)):
         P = frameop._project(mu, rows, dilation, grid.points, grid.step, H)
         want = complex_projection(mu, rows, dilation, grid.points, grid.step, H)
@@ -385,26 +395,44 @@ def test_spec_admission_is_the_fixed_step_guard(K, d, log_dilation):
 
 
 def test_enumerated_lattice_follows_the_rule(monkeypatch):
-    seen = []
-    enumerate_points = frameop.enumerate_points
+    seen, summed = [], []
+    enumerate_points, project = frameop.enumerate_points, frameop._project
     monkeypatch.setattr(frameop, "enumerate_points",
                         lambda *args, **kw: seen.append(args[0]) or
                         enumerate_points(*args, **kw))
+    monkeypatch.setattr(frameop, "_project",
+                        lambda mu, *args: summed.append(mu) or project(mu, *args))
     sides = set()
-    for d, M, K, kw in SIDE_CASES:
-        spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
+    for (d, M, K, kw), a in itertools.product(SIDE_CASES, (0.3, 1.0, 3.0)):
+        spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
+                               **{**kw, "window_dilation": a})
         dense = abs(M.determinant) ** 2 * K < len(spec.indices)
         sides.add(dense)
         seen.clear()
+        summed.clear()
         assemble_frame_matrix(spec)
+        # the summed lattice in the window's coordinates alpha
         (generator,) = seen
-        assert generator == spec.summed_lattice
+        lattice = M.adjoint() if dense else M
+        assert lattice == spec.summed_lattice
+        assert generator == lattice.left_diag(1 / math.sqrt(a), 2 * math.pi * math.sqrt(a))
         if dense:
-            assert generator == M.adjoint()
-            assert abs(generator.determinant) == pytest.approx(
+            assert abs(lattice.determinant) == pytest.approx(
                 1.0 / abs(M.determinant), rel=1e-12)
-        else:
-            assert generator == M
+        # the summed points, in lattice coordinates k, are one of each pair
+        # +-k of the lattice's points with |alpha| <= rho, none near its edge
+        L = lattice.as_array()
+        g = np.concatenate(summed) * ([1.0, 1.0] if dense else [1.0, -1.0])
+        k = np.rint(np.linalg.solve(L, g.T).T)
+        np.testing.assert_allclose(k @ L.T, g, rtol=0, atol=1e-12 * spec.radius)
+        kmax = ellipse_kmax(spec, L)
+        box = np.array(list(itertools.product(range(-kmax, kmax + 1), repeat=2)))
+        norm = ellipse_norm(spec, *(box @ L.T).T)
+        assert np.all(np.abs(norm - spec.radius) > 1e-9 * spec.radius)
+        want = {tuple(p) for p in box[norm <= spec.radius]}
+        got = [tuple(p) for p in k.astype(int)]
+        assert len(got) == len(set(got)) == (len(want) + 1) // 2
+        assert set(got) | {(-k1, -k2) for k1, k2 in got} == want
     assert sides == {False, True}
 
 
@@ -431,7 +459,7 @@ def test_spec_validation():
     # sparse adjoint is admitted, an oversized box on either side is not
     make_spec(t=0.001, point_budget=1000)
     for M, a in ((LatticeMatrix(1e6, 0, 0, 1e-6), 1.0),
-                 (LatticeMatrix(8e4, 0, 0, 1e-7), 4.0)):
+                 (LatticeMatrix(1e-7, 0, 0, 8e4), 4.0)):
         with pytest.raises(BudgetError):
             GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16,
                             window_dilation=a)

@@ -4,9 +4,9 @@ import pytest
 
 from hermgabor import (LatticeMatrix, PreconditionError, ScanRecord,
                        SqrtLawRow, box_norm, dilation_covariance_check,
-                       estimate_cstar, records_to_csv, sqrt_law_probe,
-                       tightness_scan)
-from hermgabor.scan import SCAN_CSV_HEADER, default_t_ladder
+                       estimate_cstar, frame_bounds, records_to_csv,
+                       sqrt_law_probe, tightness_scan)
+from hermgabor.scan import SCAN_CSV_HEADER, covariance_pair, default_t_ladder
 
 
 def planted_record(t, C, d=0):
@@ -117,3 +117,18 @@ def test_dilation_covariance_trivial_and_validation():
 def test_dilation_covariance_small():
     M = LatticeMatrix(0.4, 0, 0, 0.4)
     assert dilation_covariance_check(0, M, 2.0, galerkin_dim=16) < 1e-6
+
+
+@pytest.mark.parametrize("M", [LatticeMatrix(0.45, 0.1, -0.05, 0.4),
+                               LatticeMatrix(0.6, 0, 0, 0.6),
+                               LatticeMatrix(0.2, 0.05, 0, 0.25)])
+@pytest.mark.parametrize("b", [1 / 3, 1 / 2, 2.0, 3.0])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_dilation_covariance_to_rounding(d, b, M):
+    # diag(b, 1/b) and the dilation b^2 cancel in the window's coordinates
+    # alpha = (mu1/sqrt(a), 2 pi sqrt(a) mu2), so both systems sum the same
+    # terms over the same truncation ellipse
+    fb1, fb2 = (frame_bounds(spec, check_convergence=False)
+                for spec in covariance_pair(d, M, b, galerkin_dim=32))
+    for est1, est2 in ((fb1.A_est, fb2.A_est), (fb1.B_est, fb2.B_est)):
+        assert abs(est1 - est2) <= 1e-13 * fb1.B_est
