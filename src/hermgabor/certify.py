@@ -38,16 +38,17 @@ boundary-decay check, its total variation and the box that holds its
 numerical support (|F| > SUPPORT_TOL of its maximum) depend on the window
 and the region alone, so they are computed once per window and region and
 kept in a small cache (see ``_window_field``). A lattice enters R only
-through its disc, the grid offsets closer than r: R is a function of the
-window, the region and the disc. Each disc costs one oscillation, on the
-support box widened by twice the disc's reach on each axis, and a fold:
-outside that box the oscillation is at most 2 SUPPORT_TOL max|F|, so R
-moves by at most 2 SUPPORT_TOL max|F| times the region's area (see
+through its disc, the grid offsets closer than r, which the rank of r^2
+among the squared offset distances names. Each disc costs one oscillation,
+on the support box widened by twice the disc's reach on each axis, and a
+fold: outside that box the oscillation is at most 2 SUPPORT_TOL max|F|, so
+R moves by at most 2 SUPPORT_TOL max|F| times the region's area (see
 ``certificate``). Its R is kept, one float a disc, with the window's field.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -194,6 +195,18 @@ def _disc_rows(hx: float, hxi: float, r: float, shape: tuple) -> list:
     return rows
 
 
+def _squares(hx: float, hxi: float, rows: list, shape: tuple) -> list:
+    """The table that names discs (see ``certificate``): the distinct
+    squared offset distances of the shape below a bound, sorted, then the
+    bound, the nearer of the first row and column past the disc ``rows``."""
+    reach = len(rows), rows[0][1] + 1
+    bound = min([(k * h) ** 2 for k, n, h in zip(reach, shape, (hx, hxi)) if k < n],
+                default=math.inf)
+    squares = {(i * hx) ** 2 + (j * hxi) ** 2
+               for i in range(reach[0]) for j in range(reach[1])}
+    return sorted(v for v in squares if v < bound) + [bound]
+
+
 def check_resolution(r: float, hx: float, hxi: float) -> None:
     """ResolutionError when the disc of radius r holds no grid neighbour."""
     if not r > min(hx, hxi):
@@ -324,12 +337,13 @@ def _decay(values: np.ndarray) -> tuple:
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _window_field(w: VectorWindow, region: Region) -> tuple:
     """The certificate's part that does not depend on the lattice:
-    (F, tv, support, ratios), the ambiguity field of w on the region's
-    quadrant plus the row and column across the axes (read-only), its total
-    variation over the region, the last row and column of F where |F|
-    exceeds SUPPORT_TOL of its maximum, and an empty dict in which
-    ``certificate`` keeps R per disc; PreconditionError when the region cuts
-    F off (its boundary values exceed BOUNDARY_DECAY_TOL of its maximum).
+    (F, tv, support, ratios, squares), the ambiguity field of w on the
+    region's quadrant plus the row and column across the axes (read-only),
+    its total variation over the region, the last row and column of F where
+    |F| exceeds SUPPORT_TOL of its maximum, and the dict and the table
+    (``_squares``, empty below 0) in which ``certificate`` keeps R per disc;
+    PreconditionError when the region cuts F off (|F| > BOUNDARY_DECAY_TOL
+    max|F| on its boundary).
 
     Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
     frozen values; an exception is not kept, so a region that cuts F off
@@ -346,7 +360,7 @@ def _window_field(w: VectorWindow, region: Region) -> tuple:
     tv = F.x_step * F.xi_step * _fold(np.abs(gx) + np.abs(gxi))
     for array in (x, xi, values):
         array.flags.writeable = False
-    return F, tv, support, {}
+    return F, tv, support, {}, [0.0]
 
 
 def certificate(w: VectorWindow, M: LatticeMatrix,
@@ -381,12 +395,14 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
 
     R depends on M only through the disc of radius r, and the view is sized
     from the disc, so R is a function of the window, the region and the
-    disc. The discs of one quadrant are nested in r and each larger one
-    holds more offsets, so the disc's offset count names it. R is kept
-    under that count in the dict of the window's ``_window_field`` entry, so
-    each disc is computed once per window and region. The dict holds one
-    float per disc requested, at most one per distance between nodes of the
-    quadrant. It is dropped with its entry, and a request that raises
+    disc. It holds the offsets whose squared distance (i*hx)^2 + (j*hxi)^2,
+    computed as ``_disc_rows`` computes it, is below r^2, so the rank of r^2
+    among those distances names it. The window's ``_window_field`` entry
+    keeps R under that rank, one float per disc requested, and the distances
+    out to the widest disc requested in a sorted table, complete below its
+    last entry, so a hit is one bisect and one dict lookup. An r^2 past that
+    entry ranks past every rank kept, so it misses, and its disc extends the
+    table. Both are dropped with their entry, and a request that raises
     stores nothing.
     """
     _check_orthonormal(w)
@@ -394,15 +410,18 @@ def certificate(w: VectorWindow, M: LatticeMatrix,
         region = _window_region(w)
     r = box_norm(M)
     check_resolution(r, region.x_step, region.xi_step)
-    F, tv, support, ratios = _window_field(w, region)
-    h2 = F.x_step * F.xi_step   # the region's steps: x[0] = -x_step, x[1] = 0
-    rows = _disc_rows(F.x_step, F.xi_step, r, F.values.shape)
-    offsets = sum((2 * half + 1) * (2 if di else 1) for di, half in rows)
-    R = ratios.get(offsets)
+    F, tv, support, ratios, squares = _window_field(w, region)
+    hx, hxi = F.x_step, F.xi_step   # the region's: x[0] = -x_step, x[1] = 0
+    r2 = r * r
+    R = ratios.get(bisect.bisect_left(squares, r2))
     if R is None:
+        rows = _disc_rows(hx, hxi, r, F.values.shape)
         view = F.values[:support[0] + 2 * len(rows) + 1,
                         :support[1] + 2 * (rows[0][1] + 1) + 1]
-        R = ratios[offsets] = h2 * _fold(_oscillation(view, rows))
+        R = hx * hxi * _fold(_oscillation(view, rows))
+        if not r2 <= squares[-1]:
+            squares[:] = _squares(hx, hxi, rows, F.values.shape)
+        ratios[bisect.bisect_left(squares, r2)] = R
     return Certificate(ratio=R, matrix=M, window_degree=w.degree,
                        eps_disc=2.0 * F.x_step * tv / covolume(M))
 

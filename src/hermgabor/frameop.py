@@ -49,6 +49,7 @@ the outermost shell, which ``FrameBounds.tail_bound`` sums, are then whole.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -135,12 +136,12 @@ class GaborSystemSpec:
         below 1e-12."""
         return _joint_support(self.galerkin_dim, self.max_window_index) + TRUNCATION_MARGIN
 
-    @property
+    @functools.cached_property
     def summed_lattice(self) -> LatticeMatrix:
         """The lattice the frame matrix is summed over: M, or its adjoint
-        when |det M|^2 K < c. Both sides keep the same ellipse, so the
-        adjoint side has |det M|^2 times as many points; per point it
-        projects K window rows instead of c."""
+        when |det M|^2 K < c, built once per spec. Both sides keep the same
+        ellipse, so the adjoint side has |det M|^2 times as many points; per
+        point it projects K window rows instead of c."""
         if covolume(self.matrix) ** 2 * self.galerkin_dim < len(self.indices):
             return self.matrix.adjoint()
         return self.matrix
@@ -271,7 +272,7 @@ def _assemble(spec: GaborSystemSpec):
     c = len(rows)
 
     H = dilated_hermite_all(K - 1, a, x)    # (K, N) orthonormal test functions
-    adjoint = spec.summed_lattice != spec.matrix
+    adjoint = spec.summed_lattice is not spec.matrix
     # the truncation ellipse's points in the coordinates alpha of its disc
     alpha = enumerate_points(spec._alpha_lattice(), spec.radius,
                              budget=spec.point_budget).points

@@ -22,14 +22,14 @@ class LatticeMatrix:
     m22: float
 
     def __post_init__(self):
-        for name in ("m11", "m12", "m21", "m22"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError("lattice matrix entries must be finite")
-            object.__setattr__(self, name, value)
+        m = m11, m12, m21, m22 = (float(self.m11), float(self.m12),
+                                  float(self.m21), float(self.m22))
+        if not all(map(math.isfinite, m)):
+            raise ValueError("lattice matrix entries must be finite")
+        self.__dict__.update(m11=m11, m12=m12, m21=m21, m22=m22)  # frozen: bypass __setattr__
         # |det| / ||M||_F^2 ~ 1/cond(M) is scale-free; 1e-14 is ~100x its rounding error
-        frob2 = sum(m * m for m in (self.m11, self.m12, self.m21, self.m22))
-        if not abs(self.determinant) > 1e-14 * frob2:
+        frob2 = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        if not abs(m11 * m22 - m12 * m21) > 1e-14 * frob2:
             raise ValueError("lattice matrix must be invertible (|det| > 1e-14 ||M||_F^2)")
 
     @property
@@ -76,10 +76,8 @@ def box_norm(M: LatticeMatrix) -> float:
     The norm is convex on the square, so the supremum sits at a vertex;
     the two vertices not checked are negations of the checked ones.
     """
-    A = M.as_array()
-    v1 = A @ np.array([0.5, 0.5])
-    v2 = A @ np.array([0.5, -0.5])
-    return float(max(np.linalg.norm(v1), np.linalg.norm(v2)))
+    return 0.5 * max(math.hypot(M.m11 + M.m12, M.m21 + M.m22),
+                     math.hypot(M.m11 - M.m12, M.m21 - M.m22))
 
 
 def covolume(M: LatticeMatrix) -> float:
@@ -103,8 +101,10 @@ def enumeration_box(M: LatticeMatrix, radius: float,
     every k with ||Mk||_2 <= radius: k_i is row i of M^{-1} applied to a
     point of norm <= radius, so k_imax = ceil(radius * ||row i of M^{-1}||_2).
     BudgetError when the box has more than ``budget`` points."""
-    rows = np.linalg.norm(np.linalg.inv(M.as_array()), axis=1)
-    k1max, k2max = (int(np.ceil(radius * n)) for n in rows)
+    # M^{-1} = [[m22, -m12], [-m21, m11]] / det
+    det = abs(M.determinant)
+    k1max = math.ceil(radius * (math.hypot(M.m22, M.m12) / det))
+    k2max = math.ceil(radius * (math.hypot(M.m21, M.m11) / det))
     side1, side2 = 2 * k1max + 1, 2 * k2max + 1
     if side1 * side2 > budget:
         raise BudgetError(f"enumeration box {side1}x{side2} exceeds point budget {budget}")

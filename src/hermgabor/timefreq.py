@@ -44,8 +44,8 @@ class Region:
             if not 0 < v < math.inf:
                 raise ValueError("region parameters must be finite and positive")
         # the axis sizes, as floats: a huge half over a tiny step is inf
-        nx, nxi = (2 * float(np.rint(half / step)) + 1 for half, step in
-                   ((self.x_half, self.x_step), (self.xi_half, self.xi_step)))
+        nx, nxi = (2 * (float(round(n)) if n < math.inf else n) + 1
+                   for n in (self.x_half / self.x_step, self.xi_half / self.xi_step))
         if min(nx, nxi) < 3:
             raise ValueError("region half must exceed half its step")
         if nx * nxi > DEFAULT_POINT_BUDGET:

@@ -1,5 +1,7 @@
 """Independent test oracles shared by several test modules."""
 
+import math
+
 import numpy as np
 
 
@@ -24,6 +26,62 @@ def sampled_box_norm_oracle(A, rng, n_samples=10 ** 4):
                 w = (hi - lo) * 0.1
                 lo, hi = max(-0.5, s[k] - w), min(0.5, s[k] + w)
     return best
+
+
+def numpy_box_norm(M):
+    """The box norm in numpy: max(||M (1/2, 1/2)||_2, ||M (1/2, -1/2)||_2)."""
+    A = M.as_array()
+    return float(max(np.linalg.norm(A @ np.array([0.5, 0.5])),
+                     np.linalg.norm(A @ np.array([0.5, -0.5]))))
+
+
+def numpy_enumeration_box(M, radius, budget):
+    """The enumeration box from np.linalg.inv: half sides ceil(radius
+    ||row i of M^{-1}||_2), and BudgetError past ``budget`` points."""
+    from hermgabor import BudgetError
+
+    rows = np.linalg.norm(np.linalg.inv(M.as_array()), axis=1)
+    k1max, k2max = (int(np.ceil(radius * n)) for n in rows)
+    if (2 * k1max + 1) * (2 * k2max + 1) > budget:
+        raise BudgetError("enumeration box exceeds point budget")
+    return k1max, k2max
+
+
+def lattice_matrix_error(*entries):
+    """(type, message) of the error LatticeMatrix raises for the entries
+    m11, m12, m21, m22, or None, by its field-by-field validation: each
+    entry a finite float, then |det| > 1e-14 ||M||_F^2."""
+    values = []
+    for entry in entries:
+        value = float(entry)
+        if not math.isfinite(value):
+            return ValueError, "lattice matrix entries must be finite"
+        values.append(value)
+    m11, m12, m21, m22 = values
+    frob2 = sum(m * m for m in values)
+    if not abs(m11 * m22 - m12 * m21) > 1e-14 * frob2:
+        return ValueError, "lattice matrix must be invertible (|det| > 1e-14 ||M||_F^2)"
+    return None
+
+
+def region_error(x_half, xi_half, x_step, xi_step):
+    """(type, message start) of the error Region raises, or None, by its
+    validation with np.rint: each parameter finite and positive, each axis
+    2 rint(half / step) + 1 nodes, at least 3, their product within the
+    point budget (inf when half / step overflows)."""
+    from hermgabor import BudgetError
+    from hermgabor.lattice import DEFAULT_POINT_BUDGET
+
+    for v in (x_half, xi_half, x_step, xi_step):
+        if not 0 < v < math.inf:
+            return ValueError, "region parameters must be finite and positive"
+    nx, nxi = (2 * float(np.rint(half / step)) + 1
+               for half, step in ((x_half, x_step), (xi_half, xi_step)))
+    if min(nx, nxi) < 3:
+        return ValueError, "region half must exceed half its step"
+    if nx * nxi > DEFAULT_POINT_BUDGET:
+        return BudgetError, f"region of {nx:.0f}x{nxi:.0f} samples exceeds"
+    return None
 
 
 def ellipse_norm(spec, g1, g2):

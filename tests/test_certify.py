@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
                        osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
                                SUPPORT_TOL, _disc_rows, _fold,
-                               _laguerre_field, _oscillation,
+                               _laguerre_field, _oscillation, _squares,
                                _window_field, _window_region)
 from hermgabor.timefreq import (WIDE_REGION_DEGREE, _dilated_region,
                                 _stretched_region)
@@ -391,7 +392,7 @@ def test_field_cache_keys_on_the_window_and_the_region():
 
 def test_cached_field_is_read_only():
     # every caller shares the cached arrays, so none may write to them
-    F, tv, _, _ = _window_field(certification_window(0), default_region(0))
+    F, tv, *_ = _window_field(certification_window(0), default_region(0))
     for array in (F.values, F.x_axis, F.xi_axis):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -494,7 +495,7 @@ def crop_bound_holds(w, M, region, sub):
     quadrant, the view's is exact on the support box widened by r and lower
     by at most 2 tau elsewhere, tau = SUPPORT_TOL max|F|, so the folded sums
     differ by at most 2 tau times the region's area."""
-    F, _, (ix, ixi), _ = _window_field(w, region)
+    F, _, (ix, ixi), *_ = _window_field(w, region)
     r = box_norm(M)
     full = oscillation(F, r).values
     nx, nxi = sub.shape
@@ -547,7 +548,7 @@ def test_cropped_certificate_matches_full_field_oracle(
             xi_half=math.ceil(widen_xi * (x_half / (2 * math.pi * root_a) + 1)
                               / step) * step,
             x_step=step, xi_step=step)
-        F, _, (ix, ixi), _ = _window_field(w, region)
+        F, _, (ix, ixi), *_ = _window_field(w, region)
         support = max(F.x_axis[ix], F.xi_axis[ixi])
         r = {SUPPORT_RADII[0]: step * (1 + 1e-9),
              SUPPORT_RADII[1]: step * (1 + 1e-9) + frac * (1.0 - step),
@@ -585,7 +586,7 @@ def test_oscillation_runs_on_the_support_of_a_square_region(monkeypatch):
     seen = recorded_oscillations(monkeypatch)
     cert = certificate(w, M, region)
     (sub,) = seen
-    F, _, _, _ = _window_field(w, region)
+    F, *_ = _window_field(w, region)
     assert sub.shape[0] <= F.values.shape[0]
     assert 3 * sub.shape[1] < F.values.shape[1]
     R, _ = full_field_certificate(w, M, region)
@@ -598,7 +599,7 @@ def test_default_regions_run_the_whole_quadrant(monkeypatch, d):
     # a default region ends inside F's numerical support, so nothing is cut
     # and R is the whole quadrant's fold to the last bit
     w, region = certification_window(d), default_region(d)
-    F, _, _, _ = _window_field(w, region)
+    F, *_ = _window_field(w, region)
     for M in (LatticeMatrix(0.1, 0, 0, 0.1),
               LatticeMatrix(0.24, 0.096, -0.04, 0.224)):
         _window_field.cache_clear()
@@ -751,7 +752,7 @@ def test_disc_alone_keys_the_ratio(monkeypatch, hx, hxi):
              if r > min(hx, hxi)]
     radii += radii[::-1]
     _window_field.cache_clear()
-    F, _, support, _ = _window_field(w, region)
+    F, _, support, *_ = _window_field(w, region)
     seen = recorded_oscillations(monkeypatch)
     misses, warm = {}, []
     for r in radii:
@@ -786,6 +787,79 @@ def test_disc_alone_keys_the_ratio(monkeypatch, hx, hxi):
         _window_field.cache_clear()
         fresh = certificate(w, lattice_of_radius(r), region)
         assert cert == fresh and cert.ratio.hex() == fresh.ratio.hex()
+
+
+def node_radius(hx, hxi, i, j, side):
+    """The distance of the grid offset (i, j), or the float below (side
+    -1) or above (side 1) it."""
+    r = math.sqrt((i * hx) ** 2 + (j * hxi) ** 2)
+    return math.nextafter(r, side * math.inf) if side else r
+
+
+DISC_STEPS = [1 / 32, 1 / 16, 0.1, 0.037, 0.05]
+
+
+@settings(deadline=None, max_examples=200)
+@given(hx=st.sampled_from(DISC_STEPS), hxi=st.sampled_from(DISC_STEPS),
+       shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+       nodes=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                                st.integers(-1, 1)), min_size=1, max_size=12))
+@example(hx=0.037, hxi=0.05, shape=(12, 12),
+         nodes=[(3, 4, 0), (3, 4, -1), (3, 4, 1), (5, 0, 0), (0, 4, 1)])
+@example(hx=1 / 16, hxi=1 / 16, shape=(4, 3),
+         nodes=[(5, 5, 0), (5, 5, 1), (1, 7, 0), (3, 2, 0), (2, 3, -1)])
+def test_rank_of_r_squared_names_the_disc(hx, hxi, shape, nodes):
+    # radii at the distances of grid offsets, a float either side of them,
+    # and past the field's shape: two radii get the same rank of r^2 in the
+    # table of squared distances exactly when ``_disc_rows`` gives them the
+    # same rows, and every table the certificate may bisect (one built from
+    # the disc of any radius) gives that rank for every r^2 up to its bound,
+    # and past it a rank above all it can give up to the bound
+    radii = [r for r in (node_radius(hx, hxi, *node) for node in nodes)
+             if r > min(hx, hxi)]
+    full = _squares(hx, hxi, _disc_rows(hx, hxi, math.inf, shape), shape)
+    assert full[-1] == math.inf and full[:-1] == sorted(set(full[:-1]))
+    ranks = [bisect_left(full, r * r) for r in radii]
+    discs = [_disc_rows(hx, hxi, r, shape) for r in radii]
+    for (k1, d1), (k2, d2) in itertools.product(zip(ranks, discs), repeat=2):
+        assert (k1 == k2) == (d1 == d2)
+    for reach in radii:
+        table = _squares(hx, hxi, _disc_rows(hx, hxi, reach, shape), shape)
+        assert table[-1] >= reach * reach
+        assert table[:-1] == [v for v in full[:-1] if v < table[-1]]
+        for r, k in zip(radii, ranks):
+            if r * r <= table[-1]:
+                assert bisect_left(table, r * r) == k
+            else:
+                assert bisect_left(table, r * r) == len(table) <= k
+
+
+def test_a_hit_runs_neither_the_disc_nor_the_oscillation(monkeypatch):
+    # after a disc's first request, a request at any radius of that disc
+    # (at step 1/16 those in (sqrt(10), sqrt(13)] / 16) takes its R from
+    # the memo: ``_disc_rows`` and ``_oscillation`` raise if called
+    w, region = certification_window(1), default_region(1)
+    _window_field.cache_clear()
+    first = certificate(w, lattice_of_radius(0.2), region)
+    squares = _window_field(w, region)[4]
+    stored = list(squares)
+
+    def fail(*args):
+        raise AssertionError("a hit ran the miss path")
+
+    monkeypatch.setattr(certify_module, "_disc_rows", fail)
+    monkeypatch.setattr(certify_module, "_oscillation", fail)
+    t, a = 0.3, 0.7   # t R(a) has box norm t / sqrt(2) = 0.2121
+    rotation = LatticeMatrix(t * math.cos(a), -t * math.sin(a),
+                             t * math.sin(a), t * math.cos(a))
+    for M in (lattice_of_radius(0.2), lattice_of_radius(0.21),
+              lattice_of_radius(math.sqrt(13) / 16), rotation):
+        assert certificate(w, M, region).ratio == first.ratio
+    assert squares == stored
+    # the next disc misses; a miss that raises keeps no R and no table
+    with pytest.raises(AssertionError, match="miss path"):
+        certificate(w, lattice_of_radius(0.3), region)
+    assert squares == stored and len(_window_field(w, region)[3]) == 1
 
 
 def test_whole_region_field_takes_the_certificates_disc():
@@ -880,7 +954,7 @@ def test_ratio_is_nondecreasing_in_the_radius(d, dilation, step, widen, fracs):
     while True:
         region = _stretched_region(widen * default_region(d, step).x_half,
                                    dilation, step)
-        F, _, support, _ = _window_field(w, region)
+        F, _, support, *_ = _window_field(w, region)
         far = 1.1 * max(F.x_axis[support[0]], F.xi_axis[support[1]])
         work = 2 * far / step * F.values.size
         if work <= ORACLE_WORK or step == 1 / 8:

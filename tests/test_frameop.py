@@ -436,6 +436,30 @@ def test_enumerated_lattice_follows_the_rule(monkeypatch):
     assert sides == {False, True}
 
 
+@pytest.mark.parametrize("t", [0.3, 0.9])
+def test_summed_lattice_is_built_once(monkeypatch, t):
+    # a request builds its adjoint lattice once, on either side, and sums
+    # the lattice of ``_alpha_lattice`` at the spec's radius after the 1-D
+    # basis call on the grid, the order perfbench/tracing.py reads
+    calls = []
+    adjoint, hermite = LatticeMatrix.adjoint, frameop.dilated_hermite_all
+    enumerate_points = frameop.enumerate_points
+    monkeypatch.setattr(LatticeMatrix, "adjoint",
+                        lambda M: calls.append("adjoint") or adjoint(M))
+    monkeypatch.setattr(frameop, "dilated_hermite_all",
+                        lambda n, a, x: calls.append(np.ndim(x)) or hermite(n, a, x))
+    monkeypatch.setattr(frameop, "enumerate_points",
+                        lambda M, radius, **kw: calls.append((M, radius))
+                        or enumerate_points(M, radius, **kw))
+    spec = make_spec(d=1, t=t)
+    dense = t ** 4 * spec.galerkin_dim < 2
+    frame_bounds(spec)
+    assert calls[:2 + dense] == (["adjoint"] * dense
+                                 + [1, (spec._alpha_lattice(), spec.radius)])
+    assert calls.count("adjoint") == dense
+    assert (spec.summed_lattice is spec.matrix) != dense
+
+
 def test_adjoint_lattice():
     # symplectic pairings of M(Z^2) with its adjoint are integers
     adj = SHEARED.adjoint()

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import sampled_box_norm_oracle
+from _oracles import (lattice_matrix_error, numpy_box_norm,
+                      numpy_enumeration_box, sampled_box_norm_oracle)
 from hermgabor import (BudgetError, LatticeMatrix, box_norm, covolume,
                        enumerate_points)
+from hermgabor.lattice import enumeration_box
 
 # the unimodular matrices with entries in [-2, 2]: bases of Z^2
 UNIMODULAR = [u for u in (np.array(e).reshape(2, 2) - 2
@@ -172,3 +174,78 @@ def test_enumeration_independent_of_basis(M, U, radius):
         inner = mine[np.hypot(*mine.T) <= radius * (1 - 1e-9)]
         gaps = np.hypot(*(inner[:, None, :] - other[None, :, :]).T)
         assert np.all(gaps.min(axis=0) < 1e-9)
+
+
+def scaled_lattices():
+    """Well-conditioned matrices of entries up to 3 times 2^-40 .. 2^40."""
+    return st.tuples(lattices(), st.integers(-40, 40)).map(
+        lambda me: me[0].scaled(2.0 ** me[1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(lattices(), scaled_lattices()))
+@example(M=LatticeMatrix(1, -1, 0, 1))
+@example(M=LatticeMatrix(0.1, 0.02, -0.03, 0.09))
+def test_box_norm_matches_the_numpy_form(M):
+    # hypot of the two vertex images against numpy's norm of them: the
+    # images are the same floats, their norms round apart by at most 2 ulp
+    want = numpy_box_norm(M)
+    assert abs(box_norm(M) - want) <= 2 * math.ulp(want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(lattices(), scaled_lattices()),
+       st.floats(min_value=0.1, max_value=100.0),
+       st.integers(min_value=1, max_value=10 ** 7))
+@example(M=LatticeMatrix(0.5, 0.5, -0.5, 0.5), radius=3.0, budget=10 ** 7)
+@example(M=LatticeMatrix(3, 1, 0, 0.5), radius=1.5, budget=25)
+def test_enumeration_box_matches_the_numpy_inverse(M, radius, budget):
+    # the rows of M^{-1} in closed form give the box of np.linalg.inv, or
+    # its BudgetError
+    try:
+        want = numpy_enumeration_box(M, radius, budget)
+    except BudgetError:
+        with pytest.raises(BudgetError, match="exceeds point budget"):
+            enumeration_box(M, radius, budget)
+        return
+    assert enumeration_box(M, radius, budget) == want
+
+
+def lattice_entries():
+    """Entries of every kind: any float (NaN, infinities and subnormals
+    included), moderate ones, and numpy scalars."""
+    return st.one_of(st.floats(), st.floats(-3, 3),
+                     st.sampled_from([0.0, -0.0, 1.0, 1e-160, 5e-324,
+                                      np.float64(0.25), np.int64(2)]))
+
+
+def near_singular():
+    """Rank-one matrices (a, b, c a, c b) with the last entry moved by a
+    relative 2^-52 to 2^-40, across the threshold |det| = 1e-14 ||M||_F^2."""
+    entry = st.floats(-3, 3)
+    return st.tuples(entry, entry, entry, st.integers(-4, 4),
+                     st.integers(40, 52)).map(
+        lambda e: (e[0], e[1], e[2] * e[0],
+                   e[2] * e[1] * (1 + e[3] * 2.0 ** -e[4])))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(st.tuples(*[lattice_entries()] * 4), near_singular()))
+@example(entries=(1, 1, 1, 1 + 1e-15))
+@example(entries=(1, 1, 1, 1 + 5e-14))
+@example(entries=(np.nan, 0, 0, 1))
+@example(entries=(1, 0, 0, -math.inf))
+@example(entries=(1e154, 0, 0, 1e154))
+@example(entries=(1e-160, 0, 0, 1e-163))
+def test_lattice_matrix_rejects_what_its_field_validation_rejects(entries):
+    # NaN, infinities and numerically singular matrices, with the message
+    # of the field-by-field validation; every other matrix is accepted
+    want = lattice_matrix_error(*entries)
+    if want is None:
+        M = LatticeMatrix(*entries)
+        assert (M.m11, M.m12, M.m21, M.m22) == tuple(map(float, entries))
+        return
+    kind, message = want
+    with pytest.raises(kind) as info:
+        LatticeMatrix(*entries)
+    assert type(info.value) is kind and str(info.value) == message

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, LatticeMatrix, Region,
@@ -10,6 +10,8 @@ from hermgabor import (BudgetError, CapacityError, LatticeMatrix, Region,
                        osc_l1, stft)
 from hermgabor.grid import nyquist_step
 from hermgabor.lattice import DEFAULT_POINT_BUDGET
+
+from _oracles import region_error
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +114,35 @@ def test_region_point_budget():
             Region(x_half=1.0, xi_half=1.0, x_step=step, xi_step=step)
     with pytest.raises(BudgetError, match="exceeds point budget"):
         default_region(0, 0.001)
+
+
+def region_parameters():
+    """Any float (NaN, infinities, zeros and subnormals included), halves
+    and steps of usual size, and steps whose half over them overflows."""
+    return st.one_of(st.floats(), st.floats(1e-3, 20.0),
+                     st.sampled_from([1 / 16, 1 / 32, 0.1, 1e-300, 1e-320,
+                                      5e-324, 0.0, -0.0]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(region_parameters(), region_parameters(), region_parameters(),
+       region_parameters())
+@example(x_half=9.0, xi_half=9.0, x_step=1e-320, xi_step=1e-320)
+@example(x_half=1.0, xi_half=1.0, x_step=1 / 1581.5, xi_step=1 / 1581.5)
+@example(x_half=0.05, xi_half=1.0, x_step=0.1, xi_step=0.1)
+@example(x_half=0.15, xi_half=1.0, x_step=0.1, xi_step=0.1)
+def test_region_rejects_what_its_rint_validation_rejects(x_half, xi_half,
+                                                         x_step, xi_step):
+    # non-finite or non-positive parameters and an axis of one node
+    # (ValueError), too many samples (BudgetError; the CLI exits 3, see
+    # the 1e-320 row of test_cli.REJECTED), with the message of the
+    # validation that rounds half / step with np.rint
+    params = dict(x_half=x_half, xi_half=xi_half, x_step=x_step, xi_step=xi_step)
+    want = region_error(**params)
+    if want is None:
+        Region(**params)
+        return
+    kind, message = want
+    with pytest.raises(kind) as info:
+        Region(**params)
+    assert type(info.value) is kind and str(info.value).startswith(message)
