@@ -55,11 +55,11 @@ hermgabor bounds --d 2 --matrix 0.25,0.05,-0.03,0.22 --K 128 --dilation 1.7 \
 # numerical support of F, so the oscillation runs on the whole quadrant
 hermgabor certify --d 1 --matrix 0.05,0,0,0.05 --region-step 0.03125 \
   | python3 -c 'import json, sys; R = 0.5450288425665097; sys.exit(abs(json.load(sys.stdin)["R"] - R) > 1e-12 * R)'
-# the finest Galerkin grid admitted (Nyquist step just above 1/32),
+# the finest Galerkin grid admitted (aliasing step just above 1/32),
 # and one that needs a finer step, rejected with exit 2
-hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.13
+hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.034
 code=0
-hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.1 2> nyquist.txt || code=$?
+hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.033 2> nyquist.txt || code=$?
 test "$code" -eq 2
 grep -q Nyquist nyquist.txt
 # the glgrid row at det = 1/(d+1) is not a frame (the criterion is

@@ -30,14 +30,23 @@ Space, 1989, ch. 4), so with t e^{i theta} = mu1 + 2 pi i a mu2,
                                 <h_{r,a}(. - t), h_{m,a}>,
 
 and ``_project`` samples no modulation: the table of the rows shifted by t
-meets the real test basis in one real matrix product. The Riemann sums run
-on a grid at the coarsest step its Nyquist guard admits,
-``grid.nyquist_step``, and at ``DEFAULT_STEP`` where the guard asks for a
-finer one, which is then rejected (CapacityError). Each integrand is smooth
-and decays like a Gaussian, so by Poisson summation the error of its
-Riemann sum at step h is its Fourier transform at the nonzero multiples of
-1/h, which the guard keeps far below rounding (Trefethen & Weideman, SIAM
-Review 56, 2014).
+meets the real test basis in one real matrix product.
+
+The Riemann sums run at the step of the integrands' aliasing bound, so
+that no modulation enters it either. Each integrand h_{r,a}(x - t)
+h_{m,a}(x) is smooth and decays like a Gaussian, so by Poisson summation
+the error of its Riemann sum at step h is its Fourier transform at the
+nonzero multiples of 1/h (Trefethen & Weideman, SIAM Review 56, 2014). In
+the window's units u = 2 pi sqrt(a) xi the transform of h_{n,a} is h_n up
+to a phase, so the integrand's is a convolution of h_r and h_m, whose
+oscillator supports add: sqrt(2r+1) + sqrt(2m+1) <= 2 sqrt(2K-1). Past its
+turning point u_0 = sqrt(2n+1), h_n falls like e^{-int_{u_0}^u sqrt(s^2 -
+u_0^2) ds} <= e^{-(u - u_0)^2/2}, so the convolution falls like e^{-delta^2
+/4} at a distance delta past the summed supports. The step 2 pi sqrt(a) /
+(2 sqrt(2K-1) + ALIAS_MARGIN) puts 1/h that far out, delta = 14, where
+e^{-49} ~ 5e-22. A step finer than ``DEFAULT_STEP`` is rejected
+(CapacityError). Step and support both scale with sqrt(a), so from a = 1
+on the node count does not depend on the dilation.
 
 ``_assemble`` takes the points in order of t, so that each chunk samples
 only its ``_crop`` of the grid: from t_min - S, S the support half-width of
@@ -57,8 +66,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .grid import DEFAULT_STEP, GridSpec, nyquist_step, support_half_width
+from .errors import CapacityError, ConvergenceError
+from .grid import DEFAULT_STEP, GridSpec, support_half_width
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
 from .hermite import dilated_hermite_all, hermite_indices
@@ -73,6 +82,9 @@ ADJOINT_CHUNK_ROWS = 512
 # beyond both supports is sampled, in time units up to dilation 1: its
 # Gaussian factor e^{-(x - t/2)^2 / a} is below 1e-21 there
 SHIFT_PAD = 7.0
+# how far past the integrands' spectra, within 2 sqrt(2K-1) in the units
+# 2 pi sqrt(a) xi, the grid's first alias falls (module docstring)
+ALIAS_MARGIN = 14.0
 # i^n for n mod 4
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
@@ -152,29 +164,29 @@ class GaborSystemSpec:
         return self.summed_lattice.left_diag(1.0 / root_a, TWO_PI * root_a)
 
     def freq_cutoff(self) -> float:
-        """Modulations beyond this couple the window to the test space only
-        through Gaussian tails below 1e-12 (squared in the frame matrix)."""
-        root_a = math.sqrt(self.window_dilation)
-        joint = _joint_support(self.galerkin_dim, self.max_window_index)
-        return (joint + TRUNCATION_MARGIN) / (TWO_PI * root_a)
+        """rho/(2 pi sqrt(a)), the ellipse's frequency semi-axis: modulations
+        beyond it couple the window to the test space only through Gaussian
+        tails below 1e-12 (squared in the frame matrix). The assembly samples
+        no modulation; the benchmark's tracer and the tests' oracles read it."""
+        return self.radius / (TWO_PI * math.sqrt(self.window_dilation))
 
     def time_cutoff(self) -> float:
-        root_a = math.sqrt(self.window_dilation)
-        joint = _joint_support(self.galerkin_dim, self.max_window_index)
-        return (joint + TRUNCATION_MARGIN) * root_a
+        """rho sqrt(a), the ellipse's time semi-axis."""
+        return self.radius * math.sqrt(self.window_dilation)
 
     def grid(self) -> GridSpec:
-        """The quadrature grid at the step of its Nyquist guard, where that
-        is no finer than ``DEFAULT_STEP``; a finer one raises CapacityError.
-        It reaches rho sqrt(a)/2 + pad at least (rho sqrt(a) the time
-        cutoff), where the integrands of the outermost shell peak."""
-        max_index = self.galerkin_dim - 1
-        cutoff = self.freq_cutoff()
-        a = self.window_dilation
-        step = max(DEFAULT_STEP, nyquist_step(cutoff, max_index, a))
-        reach = 0.5 * self.time_cutoff() + _shift_pad(a)
-        return GridSpec.build(max_index=max_index, max_modulation=cutoff,
-                              dilation=a, step=step, min_half_width=reach)
+        """The quadrature grid at the step of the integrands' aliasing bound
+        (module docstring), where that is no finer than ``DEFAULT_STEP``; a
+        finer one raises CapacityError. It reaches rho sqrt(a)/2 + pad at
+        least (rho sqrt(a) the time cutoff), where the integrands of the
+        outermost shell peak."""
+        K, a = self.galerkin_dim, self.window_dilation
+        step = TWO_PI * math.sqrt(a) / (2.0 * math.sqrt(2 * K - 1) + ALIAS_MARGIN)
+        if step < DEFAULT_STEP:
+            raise CapacityError(f"Nyquist guard violated: the aliasing step {step:.4g} "
+                                f"of K={K} at dilation {a} is finer than {DEFAULT_STEP}")
+        half = max(support_half_width(K - 1, a), 0.5 * self.time_cutoff() + _shift_pad(a))
+        return GridSpec(step=step, count=math.ceil(2.0 * half / step))
 
     def with_dim(self, K: int) -> "GaborSystemSpec":
         return replace(self, galerkin_dim=K)

@@ -43,7 +43,10 @@ def _band(max_index: int, dilation: float) -> float:
 def nyquist_step(max_modulation: float, max_index: int, dilation: float = 1.0) -> float:
     """The coarsest step the Nyquist guard admits for Hermite indices up to
     ``max_index`` dilated by ``dilation`` and modulated up to
-    ``max_modulation``: 1/(2*(max_modulation + sqrt(2n+1)/(2 pi sqrt|a|) + 1))."""
+    ``max_modulation``: 1/(2*(max_modulation + sqrt(2n+1)/(2 pi sqrt|a|) + 1)).
+    It guards the modulated windows of ``timefreq.stft``; the Galerkin
+    assembly samples no modulation and sizes its step by the aliasing
+    bound of ``GaborSystemSpec.grid``."""
     return 1.0 / (2.0 * (max_modulation + _band(max_index, dilation) + 1.0))
 
 

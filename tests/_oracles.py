@@ -100,16 +100,32 @@ def ellipse_kmax(spec, A):
     return int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(DA), 2)))
 
 
+def modulated_grid(spec):
+    """A grid for Riemann sums of the modulated integrands pi(gamma) w_i
+    h_m, gamma in the spec's truncation ellipse: at the step of the Nyquist
+    guard for modulations up to ``spec.freq_cutoff()`` (no coarser than
+    1/32, and CapacityError where it would have to be finer), over the
+    reach of the spec's own grid."""
+    from hermgabor import DEFAULT_STEP, GridSpec
+    from hermgabor.frameop import _shift_pad
+    from hermgabor.grid import nyquist_step
+
+    K, a, cutoff = spec.galerkin_dim, spec.window_dilation, spec.freq_cutoff()
+    return GridSpec.build(max_index=K - 1, max_modulation=cutoff, dilation=a,
+                          step=max(DEFAULT_STEP, nyquist_step(cutoff, K - 1, a)),
+                          min_half_width=0.5 * spec.time_cutoff() + _shift_pad(a))
+
+
 def direct_frame_matrix(spec, grid=None):
     """Galerkin frame matrix summed term by term over the lattice M(Z^2):
     S[(i,m),(j,m')] = sum_gamma <pi(gamma) w_i, h_m> <h_m', pi(gamma) w_j>,
     pi(gamma) f(x) = e^{2 pi i gamma2 (x - gamma1)} f(x - gamma1), over the
     points of the spec's truncation ellipse, as Riemann sums on ``grid``
-    (the spec's own grid by default)."""
+    (``modulated_grid(spec)`` by default)."""
     from hermgabor.hermite import dilated_hermite_all
 
     if grid is None:
-        grid = spec.grid()
+        grid = modulated_grid(spec)
     x = grid.points
     a = spec.window_dilation
     K = spec.galerkin_dim
@@ -140,12 +156,12 @@ def shell_tail_bound(spec, grid=None):
     sum |A_gamma|_F^2, A_gamma[i, m] = <h_m, pi(gamma) w_i>, on the direct
     side, and sum ||W_mu||_F ||E_mu||_F / |det M|, E_mu[a, b] = <pi(mu) h_a,
     h_b> and W_mu its window block, on the adjoint side; as Riemann sums on
-    ``grid`` (the spec's own grid by default)."""
+    ``grid`` (``modulated_grid(spec)`` by default)."""
     from hermgabor.hermite import dilated_hermite_all
     from hermgabor.lattice import covolume
 
     if grid is None:
-        grid = spec.grid()
+        grid = modulated_grid(spec)
     x = grid.points
     a = spec.window_dilation
     K = spec.galerkin_dim

@@ -95,6 +95,42 @@ def test_bounds_dense_lattice(capsys):
     assert fb.B_est == pytest.approx(1e6, rel=1e-6)
 
 
+def test_bounds_grid_stops_growing_with_the_dilation(monkeypatch, capsys):
+    # D_a carries the system on M0 to the one on diag(sqrt a, 1/sqrt a) M0,
+    # with the same bounds; from a = 1 on the aliasing step and the grid's
+    # reach both grow like sqrt(a), so each request builds its test basis
+    # on as many nodes
+    from hermgabor import GaborSystemSpec, LatticeMatrix, frameop
+
+    m11, m12, m21, m22 = 0.45, 0.1, -0.05, 0.4
+    dilations = (1.0, 1e4, 1e8, 1e12)
+    matrices = [LatticeMatrix(r * m11, r * m12, m21 / r, m22 / r)
+                for r in map(math.sqrt, dilations)]
+    # sized before any request runs: a grid growing like sqrt(a) would
+    # take gigabytes at a = 1e12
+    sizes = {GaborSystemSpec(window_degree=1, matrix=M, galerkin_dim=32,
+                             window_dilation=a).grid().count
+             for M, a in zip(matrices, dilations)}
+    assert len(sizes) == 1
+    nodes = []
+    hermite = frameop.dilated_hermite_all
+    monkeypatch.setattr(frameop, "dilated_hermite_all",
+                        lambda n, a, x: (nodes.append(x.size) if x.ndim == 1 else None)
+                        or hermite(n, a, x))
+    bounds = []
+    for M, a in zip(matrices, dilations):
+        matrix = ",".join(repr(v) for v in (M.m11, M.m12, M.m21, M.m22))
+        code, out, _ = run(capsys, "bounds", "--d", "1", "--matrix", matrix,
+                           "--K", "32", "--dilation", repr(a))
+        assert code == 0
+        bounds.append(bounds_from_json(out))
+    assert nodes == [sizes.pop()] * len(dilations)
+    ref = bounds[0]
+    for fb in bounds[1:]:
+        assert abs(fb.A_est - ref.A_est) <= 1e-13 * ref.B_est
+        assert abs(fb.B_est - ref.B_est) <= 1e-13 * ref.B_est
+
+
 def test_certify_json(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "--d", "0", "--matrix",
@@ -237,9 +273,13 @@ def test_validate_only(capsys):
 
 
 def test_validate_nyquist_diagnostic(capsys):
-    # a small dilation widens the band the grid must carry
+    # a small dilation narrows the window, whose aliasing step at K = 64
+    # passes 1/32 between dilations 0.034 and 0.033
     argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "64",
-            "--dilation", "0.1")
+            "--dilation")
+    code, out, _ = run(capsys, *argv, "0.034", "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    argv += ("0.033",)
     code, out, _ = run(capsys, *argv, "--validate-only")
     assert code == 2 and "Nyquist" in out
     code, _, err = run(capsys, *argv)
@@ -263,7 +303,7 @@ def test_validate_budget_diagnostic(capsys):
 
 REJECTED = [
     # --validate-only used to print "ok" for these, then the run failed
-    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.2 --K 32", 2, "Nyquist"),
+    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.14 --K 32", 2, "Nyquist"),
     ("certify --d 0 --matrix 0.01,0,0,0.01", 2, "grid resolution"),
     ("scan --d 40 --matrix 1,0,0,1 --t-list 0.5", 2, "galerkin_dim"),
     ("covariance --d 40 --matrix 0.4,0,0,0.4 --b 2", 2, "galerkin_dim"),

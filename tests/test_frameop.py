@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +13,11 @@ from hermgabor import (BudgetError, CapacityError, FrameBounds,
                        bounds_to_json, component_bound_aggregate, frame_bounds,
                        gl_predicate, is_frame)
 from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
-from hermgabor.grid import nyquist_step
+from hermgabor.grid import nyquist_step, support_half_width
 
 from _oracles import (assemble_frame_matrix, complex_projection,
                       direct_frame_matrix, ellipse_kmax, ellipse_norm,
-                      shell_tail_bound)
+                      modulated_grid, shell_tail_bound)
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -87,7 +86,7 @@ def test_tail_bound_matches_unfolded_shell_sum(d, M, K, kw):
     # a shell that decays rather than cancels: the oracle's sum does not
     # move at half the step
     spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
-    grid = spec.grid()
+    grid = modulated_grid(spec)
     ref = shell_tail_bound(spec)
     assert ref > 0.0
     finer = shell_tail_bound(spec, grid=GridSpec(step=grid.step / 2, count=2 * grid.count))
@@ -101,7 +100,7 @@ def test_tail_bound_matches_the_shell_sum_on_a_wider_grid(d, M, K, kw):
     # the spec's grid holds the outermost shell's integrands, which peak
     # near half the shift, so widening it moves no digit the bound keeps
     spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K, **kw)
-    grid = spec.grid()
+    grid = modulated_grid(spec)
     ref = shell_tail_bound(spec, grid=GridSpec(step=grid.step, count=2 * grid.count))
     tail = frame_bounds(spec, check_convergence=False).tail_bound
     assert abs(tail - ref) <= 1e-12 * ref
@@ -184,11 +183,12 @@ corner_lists = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
 @example(K=89, d=0, dilation=1.0, corners=[(-0.0625, 0.0)], window_rows=False)
 def test_rotated_projection_matches_the_complex_oracle(K, d, dilation, corners,
                                                        window_rows):
-    # unsorted points anywhere in the box, on the spec's grid: the window's
-    # rows (the direct side) or every row below K (the adjoint side)
+    # unsorted points anywhere in the box, on the oracle's grid for the
+    # modulated integrand: the window's rows (the direct side) or every
+    # row below K (the adjoint side)
     assume(K > d)
     spec = make_spec(d=d, K=K, window_dilation=dilation)
-    grid = spec.grid()
+    grid = modulated_grid(spec)
     H = dilated_hermite_all(K - 1, dilation, grid.points)
     mu = _box_points(spec, corners)
     rows = spec.indices if window_rows else range(K)
@@ -231,9 +231,10 @@ def test_cropped_projection_matches_the_full_grid(K, d, dilation, corners,
 def test_projection_matches_the_complex_oracle(K, dilation):
     # the direct side projects the window's rows (in the spec's order, or
     # reordered), the adjoint side every row below K; points cover the
-    # spec's truncation ellipse, whose semi-axes are the two cutoffs
+    # spec's truncation ellipse, whose semi-axes are the two cutoffs; on
+    # the oracle's grid for the modulated integrand
     spec = make_spec(d=2, K=K, window_dilation=dilation)
-    grid = spec.grid()
+    grid = modulated_grid(spec)
     H = dilated_hermite_all(K - 1, dilation, grid.points)
     rng = np.random.default_rng(K)
     frac = np.sqrt(rng.random(16))
@@ -328,7 +329,8 @@ def test_frame_matrix_matches_direct_sum(d, M, K, kw):
 
 @settings(deadline=None, max_examples=10)
 @given(K=st.floats(0.0, 7.0).map(lambda u: round(2.0 ** u)),
-       d=st.integers(0, 8), dilation=st.floats(0.3, 3.0),
+       d=st.integers(0, 8),
+       dilation=st.floats(math.log(0.03), math.log(3.0)).map(math.exp),
        log_ratio=st.floats(-2.0, 2.0), angle=st.floats(0.0, math.pi),
        shear=st.floats(-0.5, 0.5))
 @example(K=128, d=0, dilation=3.0, log_ratio=-2.0, angle=0.3, shear=0.2)
@@ -336,21 +338,32 @@ def test_frame_matrix_matches_direct_sum(d, M, K, kw):
 # width (not one scaled like the window's tails) cut the integrands off
 @example(K=2, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
 @example(K=3, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
+# the smallest dilation, at the largest K it admits, on either side
+@example(K=54, d=2, dilation=0.03, log_ratio=-1.0, angle=0.4, shear=0.1)
+@example(K=54, d=2, dilation=0.03, log_ratio=1.0, angle=0.4, shear=0.1)
 def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
                                             shear):
-    # the assembly samples at its Nyquist step; the term-by-term direct sum
-    # on the 1/32 grid is an oracle that a too coarse step would miss.
-    # K is log-uniform in 1..128, as the oracle's cost grows like K^2;
-    # |det M|^2 K / c = 2^log_ratio puts M on either side of the rule.
+    # the assembly samples at its aliasing step; the term-by-term direct
+    # sum of the modulated integrands, at the Nyquist step of the
+    # modulation cutoff and no coarser than 1/32, is an oracle that a too
+    # coarse step would miss. Below dilation ~0.1 that step is finer than
+    # 1/32, which GridSpec.build rejects, so the grid is built here.
+    # K and the dilation are log-uniform in 1..128 and 0.03..3, as the
+    # oracle's cost grows like K^2; |det M|^2 K / c = 2^log_ratio puts M
+    # on either side of the rule.
     assume(K > d)
     t = (2.0 ** log_ratio * (d + 1) / K) ** 0.25
     c, s = math.cos(angle), math.sin(angle)
     M = LatticeMatrix(t * c, t * (c * shear - s), t * s, t * (s * shear + c))
-    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
-                           window_dilation=dilation)
-    fine = GridSpec.build(max_index=max(K - 1, d),
-                          max_modulation=spec.freq_cutoff(),
-                          dilation=dilation, step=DEFAULT_STEP)
+    try:
+        spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
+                               window_dilation=dilation)
+    except CapacityError:
+        assume(False)
+    step = min(DEFAULT_STEP, nyquist_step(spec.freq_cutoff(), K - 1, dilation))
+    half = max(support_half_width(K - 1, dilation),
+               0.5 * spec.time_cutoff() + frameop._shift_pad(dilation))
+    fine = GridSpec(step=step, count=math.ceil(2 * half / step))
     ref = direct_frame_matrix(spec, grid=fine)
     S = assemble_frame_matrix(spec)
     B = np.linalg.eigvalsh(ref)[-1]
@@ -372,19 +385,14 @@ def test_nyquist_step_is_the_guard(max_modulation, max_index, dilation):
 @given(K=st.integers(1, 256), d=st.integers(0, 8),
        log_dilation=st.floats(-3.0, 1.2))
 def test_spec_admission_is_the_fixed_step_guard(K, d, log_dilation):
-    # the spec admits exactly the systems whose grid could be built at
-    # DEFAULT_STEP, and samples no finer than that
+    # the spec admits exactly the systems whose aliasing step 2 pi sqrt(a) /
+    # (2 sqrt(2K-1) + margin) is no finer than DEFAULT_STEP, and samples
+    # no finer than that
     assume(K > d)
     dilation = math.exp(log_dilation)
-    # freq_cutoff reads only these three fields
-    cutoff = GaborSystemSpec.freq_cutoff(SimpleNamespace(
-        galerkin_dim=K, max_window_index=d, window_dilation=dilation))
-    try:
-        GridSpec.build(max_index=max(K - 1, d), max_modulation=cutoff,
-                       dilation=dilation, step=DEFAULT_STEP)
-        admitted = True
-    except CapacityError:
-        admitted = False
+    step = (2 * math.pi * math.sqrt(dilation)
+            / (2 * math.sqrt(2 * K - 1) + frameop.ALIAS_MARGIN))
+    admitted = step >= DEFAULT_STEP
     try:
         spec = make_spec(d=d, K=K, window_dilation=dilation)
     except CapacityError as exc:
@@ -477,8 +485,10 @@ def test_spec_validation():
     for a in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             make_spec(window_dilation=a)
+    # the finest aliasing step admitted at K = 64, and the first rejected
+    make_spec(K=64, window_dilation=0.034)
     with pytest.raises(CapacityError, match="Nyquist"):
-        make_spec(K=64, window_dilation=0.1)
+        make_spec(K=64, window_dilation=0.033)
     # the budget bounds the box of the summed lattice: a dense lattice's
     # sparse adjoint is admitted, an oversized box on either side is not
     make_spec(t=0.001, point_budget=1000)
