@@ -101,10 +101,11 @@ def enumeration_box(M: LatticeMatrix, radius: float,
     every k with ||Mk||_2 <= radius: k_i is row i of M^{-1} applied to a
     point of norm <= radius, so k_imax = ceil(radius * ||row i of M^{-1}||_2).
     BudgetError when the box has more than ``budget`` points."""
-    # M^{-1} = [[m22, -m12], [-m21, m11]] / det
-    det = abs(M.determinant)
-    k1max = math.ceil(radius * (math.hypot(M.m22, M.m12) / det))
-    k2max = math.ceil(radius * (math.hypot(M.m21, M.m11) / det))
+    # numpy's inverse, not the closed form [[m22, -m12], [-m21, m11]] / det:
+    # where radius * ||row|| is an integer the two round to either side of
+    # it, and the box, so the budget's boundary, would move by one
+    rows = np.linalg.norm(np.linalg.inv(M.as_array()), axis=1)
+    k1max, k2max = (int(np.ceil(radius * n)) for n in rows)
     side1, side2 = 2 * k1max + 1, 2 * k2max + 1
     if side1 * side2 > budget:
         raise BudgetError(f"enumeration box {side1}x{side2} exceeds point budget {budget}")

@@ -199,9 +199,11 @@ def test_box_norm_matches_the_numpy_form(M):
        st.integers(min_value=1, max_value=10 ** 7))
 @example(M=LatticeMatrix(0.5, 0.5, -0.5, 0.5), radius=3.0, budget=10 ** 7)
 @example(M=LatticeMatrix(3, 1, 0, 0.5), radius=1.5, budget=25)
+@example(M=LatticeMatrix(1.59375, 0, 0, 0.47656130306139044),
+         radius=0.47656130306139044, budget=9)
 def test_enumeration_box_matches_the_numpy_inverse(M, radius, budget):
-    # the rows of M^{-1} in closed form give the box of np.linalg.inv, or
-    # its BudgetError
+    # the box of np.linalg.inv, or its BudgetError, at ties of radius *
+    # ||row of M^{-1}|| with an integer too
     try:
         want = numpy_enumeration_box(M, radius, budget)
     except BudgetError:
