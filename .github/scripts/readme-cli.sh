@@ -55,13 +55,25 @@ hermgabor bounds --d 2 --matrix 0.25,0.05,-0.03,0.22 --K 128 --dilation 1.7 \
 # numerical support of F, so the oscillation runs on the whole quadrant
 hermgabor certify --d 1 --matrix 0.05,0,0,0.05 --region-step 0.03125 \
   | python3 -c 'import json, sys; R = 0.5450288425665097; sys.exit(abs(json.load(sys.stdin)["R"] - R) > 1e-12 * R)'
-# the finest Galerkin grid admitted (aliasing step just above 1/32),
-# and one that needs a finer step, rejected with exit 2
-hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.034
+# small dilations, read as the lattice diag(1/sqrt a, sqrt a) M at
+# dilation 1 (0.033 was refused for its grid step): the bounds of the
+# mapped lattice within 1e-13 B
+for a in 0.033 1e-6; do
+  hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation "$a" > dilated.json
+  mapped="$(python3 -c 'import math, sys; r = math.sqrt(float(sys.argv[1])); print(f"{0.5 / r!r},0,0,{0.5 * r!r}")' "$a")"
+  hermgabor bounds --d 0 --matrix "$mapped" --K 64 > mapped.json
+  python3 -c 'import json, sys; r, s = (json.load(open(f)) for f in sys.argv[1:]); sys.exit(max(abs(r["A_est"] - s["A_est"]), abs(r["B_est"] - s["B_est"])) > 1e-13 * s["B_est"])' dilated.json mapped.json
+done
+# a frame matrix of (cK)^2 = 2.6e9 entries (~42 GB) exceeds the point
+# budget: rejected with exit 3 before any work, and reported by
+# --validate-only
+if [ -n "$validate" ]; then
+  hermgabor bounds --d 200 --K 256 --matrix 0.01,0,0,0.01 --validate-only | grep -q "exceeds point budget"
+fi
 code=0
-hermgabor bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 0.033 2> nyquist.txt || code=$?
-test "$code" -eq 2
-grep -q Nyquist nyquist.txt
+hermgabor bounds --d 200 --K 256 --matrix 0.01,0,0,0.01 2> matrix-budget.txt || code=$?
+test "$code" -eq 3
+grep -q budget matrix-budget.txt
 # the glgrid row at det = 1/(d+1) is not a frame (the criterion is
 # strict), and a ladder over the point budget is rejected with exit 3
 hermgabor glgrid --d 4 --det-max 0.2 --steps 1 | tail -n 1 | grep -qx '0.20000000000000001,0.20000000000000001,false'

@@ -10,8 +10,8 @@ Each command is prepared, then computed: ``prepare`` builds every library
 input the run uses, so the library's own checks reject a bad request before
 any work, and ``--validate-only`` stops after that step.
 
-Exit codes: 0 success, 2 precondition / usage errors, 3 budget or
-convergence failures.
+Exit codes: 0 success, 2 precondition / usage errors, 3 budget,
+convergence or out-of-memory failures.
 """
 
 from __future__ import annotations
@@ -37,7 +37,11 @@ from .scan import (DEFAULT_SCAN_GALERKIN_DIM, covariance_deviation,
 from .timefreq import REGION_STEP, default_region
 
 # what a run raises for a request it cannot serve
-REQUEST_ERRORS = (GaborError, ValueError, OSError)
+REQUEST_ERRORS = (GaborError, ValueError, OSError, MemoryError)
+
+
+def _message(exc: Exception) -> str:
+    return str(exc) or type(exc).__name__   # a bare MemoryError has no message
 
 
 def _parse_floats(text):
@@ -308,7 +312,7 @@ def validate(cfg: dict) -> list:
     try:
         prepare(cfg)
     except REQUEST_ERRORS as exc:
-        return [str(exc)]
+        return [_message(exc)]
     return []
 
 
@@ -327,8 +331,8 @@ def main(argv=None) -> int:
         prepare(cfg)()
         return 0
     except REQUEST_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (BudgetError, ConvergenceError)) else 2
+        print(f"error: {_message(exc)}", file=sys.stderr)
+        return 3 if isinstance(exc, (BudgetError, ConvergenceError, MemoryError)) else 2
 
 
 if __name__ == "__main__":

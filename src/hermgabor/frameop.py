@@ -21,39 +21,38 @@ from two eigensolves of half the size. In the rotated form below, mu and
 -mu share their shift and their angles differ by pi, so the computed terms
 obey the same identity to the rounding of their phases.
 
-Each element is a real shift times phases. The h_{n,a} are eigenfunctions
-of the metaplectic rotations of the (x/sqrt(a), 2 pi sqrt(a) xi) plane
-(the fractional Fourier transform; Folland, Harmonic Analysis in Phase
-Space, 1989, ch. 4), so with t e^{i theta} = mu1 + 2 pi i a mu2,
+A dilation is a change of lattice: D_a carries G(D_a w, M), test space
+included, unitarily onto G(w, diag(1/sqrt(a), sqrt(a)) M) (metaplectic
+covariance; Folland, Harmonic Analysis in Phase Space, 1989, ch. 4). So
+the assembly maps the ellipse's points alpha to (alpha1, alpha2/(2 pi))
+and runs at dilation 1; ``GaborSystemSpec._alpha_lattice`` is the only
+place where the dilation enters it.
 
-    <pi(mu) h_{r,a}, h_{m,a}> = e^{-i pi mu1 mu2} e^{i (m - r) theta}
-                                <h_{r,a}(. - t), h_{m,a}>,
+Each element is a real shift times phases. The h_n are eigenfunctions of
+the metaplectic rotations of the (x, 2 pi xi) plane (the fractional
+Fourier transform), so with t e^{i theta} = mu1 + 2 pi i mu2,
+
+    <pi(mu) h_r, h_m> = e^{-i pi mu1 mu2} e^{i (m - r) theta} <h_r(. - t), h_m>,
 
 and ``_project`` samples no modulation: the table of the rows shifted by t
 meets the real test basis in one real matrix product.
 
-The Riemann sums run at the step of the integrands' aliasing bound, so
-that no modulation enters it either. Each integrand h_{r,a}(x - t)
-h_{m,a}(x) is smooth and decays like a Gaussian, so by Poisson summation
-the error of its Riemann sum at step h is its Fourier transform at the
-nonzero multiples of 1/h (Trefethen & Weideman, SIAM Review 56, 2014). In
-the window's units u = 2 pi sqrt(a) xi the transform of h_{n,a} is h_n up
-to a phase, so the integrand's is a convolution of h_r and h_m, whose
-oscillator supports add: sqrt(2r+1) + sqrt(2m+1) <= 2 sqrt(2K-1). Past its
-turning point u_0 = sqrt(2n+1), h_n falls like e^{-int_{u_0}^u sqrt(s^2 -
-u_0^2) ds} <= e^{-(u - u_0)^2/2}, so the convolution falls like e^{-delta^2
-/4} at a distance delta past the summed supports. The step 2 pi sqrt(a) /
-(2 sqrt(2K-1) + ALIAS_MARGIN) puts 1/h that far out, delta = 14, where
-e^{-49} ~ 5e-22. A step finer than ``DEFAULT_STEP`` is rejected
-(CapacityError). Step and support both scale with sqrt(a), so from a = 1
-on the node count does not depend on the dilation.
+The Riemann sums run at the integrands' aliasing bound. Each h_r(x - t)
+h_m(x) is smooth and decays like a Gaussian, so by Poisson summation the
+error of its Riemann sum at step h is its Fourier transform at the nonzero
+multiples of 1/h (Trefethen & Weideman, SIAM Review 56, 2014): in the
+units u = 2 pi xi a convolution of h_r and h_m, whose oscillator supports
+add to at most 2 sqrt(2K-1). Past its turning point u_0 = sqrt(2n+1), h_n
+falls like e^{-(u - u_0)^2/2}, so the convolution falls like
+e^{-delta^2/4} at a distance delta past that sum. The step 2 pi /
+(2 sqrt(2K-1) + ALIAS_MARGIN) puts 1/h at delta = 14 (e^{-49} ~ 5e-22).
 
 ``_assemble`` takes the points in order of t, so that each chunk samples
 only its ``_crop`` of the grid: from t_min - S, S the support half-width of
-the Hermite functions, to the larger of S and t_max/2 + pad. Past both
-supports a product of two tails peaks near t/2, so the grid reaches rho
-sqrt(a)/2 + pad at least, rho sqrt(a) the time cutoff: the integrands of
-the outermost shell, which ``FrameBounds.tail_bound`` sums, are then whole.
+the Hermite functions, to the larger of S and t_max/2 + SHIFT_PAD. Past
+both supports a product of two tails peaks near t/2, so the grid reaches
+rho/2 + SHIFT_PAD at least: the integrands of the outermost shell, which
+``FrameBounds.tail_bound`` sums, are then whole.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
-from .grid import DEFAULT_STEP, GridSpec, support_half_width
+from .errors import BudgetError, ConvergenceError
+from .grid import GridSpec, support_half_width
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
 from .hermite import dilated_hermite_all, hermite_indices
@@ -78,19 +77,15 @@ CONVERGENCE_REL_TOL = 0.05
 TWO_PI = 2.0 * math.pi
 # window rows projected per chunk on the adjoint side (K per dual point)
 ADJOINT_CHUNK_ROWS = 512
-# how far past t/2 the integrand h_{r,a}(x - t) h_{m,a}(x) of a shift t
-# beyond both supports is sampled, in time units up to dilation 1: its
-# Gaussian factor e^{-(x - t/2)^2 / a} is below 1e-21 there
+# how far past t/2 the integrand h_r(x - t) h_m(x) of a shift t beyond
+# both supports is sampled: its Gaussian factor e^{-(x - t/2)^2} is below
+# 1e-21 there
 SHIFT_PAD = 7.0
 # how far past the integrands' spectra, within 2 sqrt(2K-1) in the units
-# 2 pi sqrt(a) xi, the grid's first alias falls (module docstring)
+# 2 pi xi, the grid's first alias falls (module docstring)
 ALIAS_MARGIN = 14.0
 # i^n for n mod 4
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
-
-
-def _shift_pad(dilation: float) -> float:
-    return SHIFT_PAD * max(math.sqrt(dilation), 1.0)
 
 
 def _joint_support(galerkin_dim: int, max_window_index: int) -> float:
@@ -105,10 +100,10 @@ class GaborSystemSpec:
     The window is (h_0,...,h_d) by default; ``component_indices`` overrides
     the component list (e.g. (1,) for the scalar h_1 system, (0, 0) for the
     degenerate duplicated-Gaussian window). ``window_dilation`` applies D_a
-    to window and test basis alike, keeping the Galerkin compression
-    unitarily covariant. Construction builds the assembly's grid and the
-    enumeration box of its truncation ellipse (``radius``), raising
-    CapacityError or BudgetError there.
+    to window and test basis alike (module docstring). Construction checks
+    the enumeration box of the truncation ellipse (``radius``), then the
+    (cK)^2 entries of the frame matrix, against the point budget
+    (BudgetError).
     """
 
     window_degree: int
@@ -126,8 +121,10 @@ class GaborSystemSpec:
             raise ValueError("galerkin_dim must exceed the largest window index")
         if not 0 < self.window_dilation < math.inf:
             raise ValueError("window dilation must be finite and positive")
-        self.grid()
         enumeration_box(self._alpha_lattice(), self.radius, self.point_budget)
+        n = len(self.indices) * self.galerkin_dim
+        if n * n > self.point_budget:
+            raise BudgetError(f"frame matrix {n}x{n} exceeds point budget {self.point_budget}")
 
     @property
     def indices(self) -> tuple:
@@ -159,33 +156,34 @@ class GaborSystemSpec:
         return self.matrix
 
     def _alpha_lattice(self) -> LatticeMatrix:
-        """The summed lattice in the coordinates alpha of ``radius``."""
-        root_a = math.sqrt(self.window_dilation)
-        return self.summed_lattice.left_diag(1.0 / root_a, TWO_PI * root_a)
+        """The summed lattice in the coordinates alpha of ``radius``; the
+        only dilated object the assembly reads."""
+        lattice, root_a = self.summed_lattice, math.sqrt(self.window_dilation)
+        try:
+            return lattice.left_diag(1.0 / root_a, TWO_PI * root_a)
+        except ValueError:
+            raise ValueError(f"window dilation {self.window_dilation!r} maps the summed "
+                             f"lattice to a numerically singular one") from None
 
     def freq_cutoff(self) -> float:
         """rho/(2 pi sqrt(a)), the ellipse's frequency semi-axis: modulations
         beyond it couple the window to the test space only through Gaussian
-        tails below 1e-12 (squared in the frame matrix). The assembly samples
-        no modulation; the benchmark's tracer and the tests' oracles read it."""
+        tails below 1e-12 (squared in the frame matrix). The assembly reads
+        neither cutoff; the benchmark's tracer and the tests' oracles do."""
         return self.radius / (TWO_PI * math.sqrt(self.window_dilation))
 
     def time_cutoff(self) -> float:
-        """rho sqrt(a), the ellipse's time semi-axis."""
+        """rho sqrt(a), the ellipse's time semi-axis, read like ``freq_cutoff``."""
         return self.radius * math.sqrt(self.window_dilation)
 
     def grid(self) -> GridSpec:
-        """The quadrature grid at the step of the integrands' aliasing bound
-        (module docstring), where that is no finer than ``DEFAULT_STEP``; a
-        finer one raises CapacityError. It reaches rho sqrt(a)/2 + pad at
-        least (rho sqrt(a) the time cutoff), where the integrands of the
-        outermost shell peak."""
-        K, a = self.galerkin_dim, self.window_dilation
-        step = TWO_PI * math.sqrt(a) / (2.0 * math.sqrt(2 * K - 1) + ALIAS_MARGIN)
-        if step < DEFAULT_STEP:
-            raise CapacityError(f"Nyquist guard violated: the aliasing step {step:.4g} "
-                                f"of K={K} at dilation {a} is finer than {DEFAULT_STEP}")
-        half = max(support_half_width(K - 1, a), 0.5 * self.time_cutoff() + _shift_pad(a))
+        """The quadrature grid, at dilation 1 for every dilation: the step of
+        the integrands' aliasing bound (module docstring), reaching rho/2 +
+        SHIFT_PAD at least, where the integrands of the outermost shell
+        peak."""
+        K = self.galerkin_dim
+        step = TWO_PI / (2.0 * math.sqrt(2 * K - 1) + ALIAS_MARGIN)
+        half = max(support_half_width(K - 1), 0.5 * self.radius + SHIFT_PAD)
         return GridSpec(step=step, count=math.ceil(2.0 * half / step))
 
     def with_dim(self, K: int) -> "GaborSystemSpec":
@@ -217,13 +215,13 @@ class FrameBounds:
             raise ValueError("frame bounds must satisfy 0 <= A_est <= B_est")
 
 
-def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
+def _project(mu: np.ndarray, rows, x: np.ndarray, step: float,
              H: np.ndarray) -> np.ndarray:
-    """P[p, r, m] = <pi(mu_p) h_{rows[r],a}, h_{m,a}>, rows below K, against
-    the test basis H sampled at ``x`` at ``step``, in the rotated form of
-    the module docstring; shape (n, len(rows), K)."""
-    z = mu[:, 0] + 1j * (TWO_PI * a * mu[:, 1])             # t e^{i theta}
-    table = dilated_hermite_all(max(rows), a, x[None, :] - np.abs(z)[:, None])
+    """P[p, r, m] = <pi(mu_p) h_{rows[r]}, h_m>, rows below K, against the
+    test basis H sampled at ``x`` at ``step``, in the rotated form of the
+    module docstring; shape (n, len(rows), K)."""
+    z = mu[:, 0] + 1j * (TWO_PI * mu[:, 1])                 # t e^{i theta}
+    table = dilated_hermite_all(max(rows), 1.0, x[None, :] - np.abs(z)[:, None])
     rows = list(rows)
     if rows != list(range(table.shape[0])):
         table = table[rows]                                 # (R, n, N)
@@ -245,13 +243,12 @@ def _project(mu: np.ndarray, rows, a: float, x: np.ndarray, step: float,
 
 def _crop(spec: GaborSystemSpec, x: np.ndarray, t: np.ndarray) -> slice:
     """The points of the spec's ascending grid ``x`` in [t[0] - S, max(S,
-    t[-1]/2 + pad)], S the support half-width of its Hermite functions:
-    where the integrands of ``_project`` at the ascending shifts ``t`` are
-    above rounding. Each factor is below it past S, and a product of two
-    tails peaks near t/2."""
-    a = spec.window_dilation
-    S = support_half_width(spec.galerkin_dim - 1, a)
-    lo, hi = np.searchsorted(x, [t[0] - S, max(S, 0.5 * t[-1] + _shift_pad(a))])
+    t[-1]/2 + SHIFT_PAD)], S the support half-width of h_n, n < K: where
+    the integrands of ``_project`` at the ascending shifts ``t`` are above
+    rounding. Each factor is below it past S, and a product of two tails
+    peaks near t/2."""
+    S = support_half_width(spec.galerkin_dim - 1)
+    lo, hi = np.searchsorted(x, [t[0] - S, max(S, 0.5 * t[-1] + SHIFT_PAD)])
     return slice(lo, hi)
 
 
@@ -278,12 +275,11 @@ def _assemble(spec: GaborSystemSpec):
     """
     grid = spec.grid()
     x = grid.points
-    a = spec.window_dilation
     rows = list(spec.indices)
     K = spec.galerkin_dim
     c = len(rows)
 
-    H = dilated_hermite_all(K - 1, a, x)    # (K, N) orthonormal test functions
+    H = dilated_hermite_all(K - 1, 1.0, x)  # (K, N) orthonormal test functions
     adjoint = spec.summed_lattice is not spec.matrix
     # the truncation ellipse's points in the coordinates alpha of its disc
     alpha = enumerate_points(spec._alpha_lattice(), spec.radius,
@@ -291,15 +287,14 @@ def _assemble(spec: GaborSystemSpec):
     # the set is symmetric under alpha -> -alpha: sum one point of each pair
     # (alpha1 > 0, or alpha1 == 0 < alpha2) at weight 2 and the origin at weight 1
     alpha = alpha[(alpha[:, 0] > 0) | ((alpha[:, 0] == 0) & (alpha[:, 1] >= 0))]
-    # in order of the shift t = sqrt(a) |alpha| that ``_project`` samples
-    # at, so that each chunk samples only its ``_crop``
-    r = np.hypot(alpha[:, 0], alpha[:, 1])
-    order = np.argsort(r)
-    root_a = math.sqrt(a)
-    g, r = alpha[order] * [root_a, 1.0 / (TWO_PI * root_a)], r[order]
-    t = root_a * r
+    # in order of the shift t = |alpha| that ``_project`` samples at, so
+    # that each chunk samples only its ``_crop``; at dilation 1, the points
+    # are (alpha1, alpha2 / (2 pi))
+    t = np.hypot(alpha[:, 0], alpha[:, 1])
+    order = np.argsort(t)
+    g, t = alpha[order] * [1.0, 1.0 / TWO_PI], t[order]
     weight = np.where(g.any(axis=1), 2.0, 1.0)
-    in_shell = r > spec.radius - 1.0
+    in_shell = t > spec.radius - 1.0
 
     classes = _parity_classes(rows, K)
     tail = 0.0
@@ -316,7 +311,7 @@ def _assemble(spec: GaborSystemSpec):
         crop = _crop(spec, x, t[start:start + chunk])
         xs, Hs = x[crop], H[:, crop]
         if adjoint:
-            E = _project(mu, range(K), a, xs, grid.step, Hs)    # (n, K, K)
+            E = _project(mu, range(K), xs, grid.step, Hs)       # (n, K, K)
             n = E.shape[0]
             # W[p, i, j] = conj(E[p, idx_j, idx_i]); S4[(i, j), (m', m)] sums
             # W[p, i, j] E[p, m', m]
@@ -327,7 +322,7 @@ def _assemble(spec: GaborSystemSpec):
                                      * np.linalg.norm(E[shell], axis=(1, 2))))
         else:
             # window rows at (gamma1, -gamma2): A[p, i, m] = <h_m, pi(gamma_p) w_i>
-            A = _project(mu * [1.0, -1.0], rows, a, xs, grid.step, Hs)
+            A = _project(mu * [1.0, -1.0], rows, xs, grid.step, Hs)
             A = A.reshape(A.shape[0], c * K)
             for S, cls in zip(blocks, classes):
                 Ac = A[:, cls]

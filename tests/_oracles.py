@@ -100,20 +100,29 @@ def ellipse_kmax(spec, A):
     return int(np.ceil(spec.radius * np.linalg.norm(np.linalg.inv(DA), 2)))
 
 
+def shift_pad(dilation):
+    """How far past t/2 a grid for the dilated integrands h_{r,a}(x - t)
+    h_{m,a}(x) reaches: ``frameop.SHIFT_PAD`` in the window's units, whose
+    Gaussian tails e^{-x^2/(2a)} widen past dilation 1."""
+    from hermgabor.frameop import SHIFT_PAD
+
+    return SHIFT_PAD * max(math.sqrt(dilation), 1.0)
+
+
 def modulated_grid(spec):
     """A grid for Riemann sums of the modulated integrands pi(gamma) w_i
-    h_m, gamma in the spec's truncation ellipse: at the step of the Nyquist
-    guard for modulations up to ``spec.freq_cutoff()`` (no coarser than
-    1/32, and CapacityError where it would have to be finer), over the
-    reach of the spec's own grid."""
+    h_m of the dilated window, gamma in the spec's truncation ellipse: at
+    the step of the Nyquist guard for modulations up to
+    ``spec.freq_cutoff()`` (no coarser than 1/32, and CapacityError where it
+    would have to be finer), out to half the time cutoff plus
+    ``shift_pad``."""
     from hermgabor import DEFAULT_STEP, GridSpec
-    from hermgabor.frameop import _shift_pad
     from hermgabor.grid import nyquist_step
 
     K, a, cutoff = spec.galerkin_dim, spec.window_dilation, spec.freq_cutoff()
     return GridSpec.build(max_index=K - 1, max_modulation=cutoff, dilation=a,
                           step=max(DEFAULT_STEP, nyquist_step(cutoff, K - 1, a)),
-                          min_half_width=0.5 * spec.time_cutoff() + _shift_pad(a))
+                          min_half_width=0.5 * spec.time_cutoff() + shift_pad(a))
 
 
 def direct_frame_matrix(spec, grid=None):
@@ -268,9 +277,10 @@ def hermite_expression_form(n_max, x):
 
 
 def complex_projection(mu, rows, a, x, step, H):
-    """``frameop._project`` as complex sums with a direct phase:
-    P[p, r, m] = step * sum_x h_{rows[r],a}(x - mu1) e^{2 pi i mu2 (x - mu1)}
-    h_{m,a}(x), shape (n, len(rows), K)."""
+    """<pi(mu_p) h_{rows[r],a}, h_{m,a}> as complex sums with a direct
+    phase, the dilated form of ``frameop._project``: P[p, r, m] = step *
+    sum_x h_{rows[r],a}(x - mu1) e^{2 pi i mu2 (x - mu1)} h_{m,a}(x) against
+    the dilated test basis H, shape (n, len(rows), K)."""
     from hermgabor.hermite import dilated_hermite_all
 
     xs = x[None, :] - mu[:, 0, None]                        # (n, N)

@@ -331,6 +331,24 @@ def test_certificate_rejects_region_cutting_off_the_ambiguity():
             certificate(w, LatticeMatrix(0.5, 0, 0, 0.5), region)
 
 
+@pytest.mark.parametrize("x_half, cut", [(6.75, True), (9.125, False)])
+def test_boundary_ring_is_held_to_its_tolerance(x_half, cut):
+    # the Gaussian's ambiguity function on a region of x_half and xi_half 3,
+    # whose time edge holds the ring e^{-x_half^2/4}: 1.1e-5, between the
+    # tolerance and 1e-2, is refused; 9e-10, below it, passes
+    region = Region(x_half=x_half, xi_half=3.0, x_step=1 / 16, xi_step=1 / 16)
+    w = certification_window(0)
+    F = np.abs(ambiguity(w, region).values)
+    ring = max(F[[0, -1], :].max(), F[:, [0, -1]].max()) / F.max()
+    assert ring == pytest.approx(math.exp(-x_half ** 2 / 4), rel=1e-9)
+    M = LatticeMatrix(0.1, 0, 0, 0.1)
+    if cut:
+        with pytest.raises(PreconditionError, match="region boundary"):
+            certificate(w, M, region)
+    else:
+        assert certificate(w, M, region).valid
+
+
 @pytest.mark.parametrize("x_half, xi_half", [(12.0, 0.5), (2.0, 3.0)])
 def test_certificate_rejects_region_cutting_off_one_axis(x_half, xi_half):
     # the Gaussian's ambiguity function has decayed at one edge of the

@@ -97,17 +97,18 @@ def test_bounds_dense_lattice(capsys):
 
 def test_bounds_grid_stops_growing_with_the_dilation(monkeypatch, capsys):
     # D_a carries the system on M0 to the one on diag(sqrt a, 1/sqrt a) M0,
-    # with the same bounds; from a = 1 on the aliasing step and the grid's
-    # reach both grow like sqrt(a), so each request builds its test basis
-    # on as many nodes
+    # with the same bounds; the assembly reads the dilation as that change
+    # of lattice, so every request, below dilation 1 and above it, builds
+    # its test basis on the nodes of the grid at dilation 1
     from hermgabor import GaborSystemSpec, LatticeMatrix, frameop
 
     m11, m12, m21, m22 = 0.45, 0.1, -0.05, 0.4
-    dilations = (1.0, 1e4, 1e8, 1e12)
+    dilations = (1.0, 1e-12, 1e-4, 0.033, 1e4, 1e8, 1e12)
     matrices = [LatticeMatrix(r * m11, r * m12, m21 / r, m22 / r)
                 for r in map(math.sqrt, dilations)]
     # sized before any request runs: a grid growing like sqrt(a) would
-    # take gigabytes at a = 1e12
+    # take gigabytes at a = 1e12, and one of a step shrinking like sqrt(a)
+    # as much at a = 1e-12
     sizes = {GaborSystemSpec(window_degree=1, matrix=M, galerkin_dim=32,
                              window_dilation=a).grid().count
              for M, a in zip(matrices, dilations)}
@@ -272,18 +273,33 @@ def test_validate_only(capsys):
     assert code == 2 and "galerkin_dim must exceed" in out
 
 
-def test_validate_nyquist_diagnostic(capsys):
-    # a small dilation narrows the window, whose aliasing step at K = 64
-    # passes 1/32 between dilations 0.034 and 0.033
-    argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "64",
-            "--dilation")
-    code, out, _ = run(capsys, *argv, "0.034", "--validate-only")
-    assert code == 0 and out.strip() == "ok"
-    argv += ("0.033",)
+def test_small_dilations_are_admitted(capsys):
+    # a small dilation narrows the window, which the assembly reads as the
+    # lattice diag(1/sqrt a, sqrt a) M at dilation 1: no grid step limits
+    # it, and the bounds are those of the mapped lattice
+    for a in ("0.033", "1e-6"):
+        argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "64")
+        code, out, _ = run(capsys, *argv, "--dilation", a, "--validate-only")
+        assert code == 0 and out.strip() == "ok"
+        code, out, _ = run(capsys, *argv, "--dilation", a)
+        assert code == 0
+        fb = bounds_from_json(out)
+        r = math.sqrt(float(a))
+        code, out, _ = run(capsys, "bounds", "--d", "0", "--matrix",
+                           f"{0.5 / r!r},0,0,{0.5 * r!r}", "--K", "64")
+        assert code == 0
+        ref = bounds_from_json(out)
+        assert abs(fb.A_est - ref.A_est) <= 1e-14 * ref.B_est
+        assert abs(fb.B_est - ref.B_est) <= 1e-14 * ref.B_est
+    # the covariance pair at b = 0.14 (dilation 0.0196): its two specs read
+    # the same lattice, so they agree to rounding
+    argv = ("covariance", "--d", "0", "--matrix", "0.4,0,0,0.4", "--b", "0.14",
+            "--K", "32")
     code, out, _ = run(capsys, *argv, "--validate-only")
-    assert code == 2 and "Nyquist" in out
-    code, _, err = run(capsys, *argv)
-    assert code == 2 and "Nyquist" in err
+    assert code == 0 and out.strip() == "ok"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["max_relative_deviation"] < 1e-13
 
 
 def test_validate_budget_diagnostic(capsys):
@@ -303,7 +319,6 @@ def test_validate_budget_diagnostic(capsys):
 
 REJECTED = [
     # --validate-only used to print "ok" for these, then the run failed
-    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.14 --K 32", 2, "Nyquist"),
     ("certify --d 0 --matrix 0.01,0,0,0.01", 2, "grid resolution"),
     ("scan --d 40 --matrix 1,0,0,1 --t-list 0.5", 2, "galerkin_dim"),
     ("covariance --d 40 --matrix 0.4,0,0,0.4 --b 2", 2, "galerkin_dim"),
@@ -328,6 +343,17 @@ REJECTED = [
      "exceeds point budget"),
     ("bounds --d 0 --matrix 0.0000001,0,0,80000 --K 16 --dilation 4", 3,
      "exceeds point budget"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --K 64 --dilation 1e-12", 3,
+     "enumeration box"),
+    # a dilation that maps the lattice to a numerically singular one, at
+    # either end: reported as a singular lattice matrix before
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation 1e16", 2,
+     "dilation 1e+16 maps the summed lattice to a numerically singular one"),
+    ("bounds --d 0 --matrix 0.5,0,0,0.5 --dilation 1e-16", 2,
+     "dilation 1e-16 maps the summed lattice to a numerically singular one"),
+    # a frame matrix of (cK)^2 = 2.6e9 complex entries, ~42 GB: "ok" before
+    ("bounds --d 200 --K 256 --matrix 0.01,0,0,0.01", 3,
+     "frame matrix 51456x51456 exceeds point budget"),
     # a non-finite lattice entry was reported as a singular matrix
     ("norm --matrix nan,0,0,1", 2, "finite"),
     ("scan --d 0 --t-list 0.5,nan --K 16", 2, "finite"),
@@ -359,6 +385,27 @@ def test_validate_only_agrees_with_run(tmp_path, capsys, command, run_code,
     code, out, err = run(capsys, *argv)
     assert code == run_code and not out
     assert err == f"error: {said}\n"
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 39.5 GiB for an array with shape "
+                "(51456, 51456) and data type complex128"),
+    MemoryError()])
+def test_out_of_memory_exits_3(monkeypatch, capsys, exc):
+    # a run that runs out of memory exits 3 with one error line, not 1
+    # with a traceback; validation builds no frame matrix and passes
+    import hermgabor.cli as cli
+
+    def frame_bounds(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "frame_bounds", frame_bounds)
+    argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "16")
+    code, out, _ = run(capsys, *argv, "--validate-only")
+    assert code == 0 and out.strip() == "ok"
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
 def test_config_fields_are_the_flags():

@@ -17,7 +17,7 @@ from hermgabor.grid import nyquist_step, support_half_width
 
 from _oracles import (assemble_frame_matrix, complex_projection,
                       direct_frame_matrix, ellipse_kmax, ellipse_norm,
-                      modulated_grid, shell_tail_bound)
+                      modulated_grid, shell_tail_bound, shift_pad)
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -141,21 +141,23 @@ def test_extremal_rejects_non_finite_matrix(bad):
 
 
 @settings(deadline=None, max_examples=60)
-@given(K=st.integers(1, 32), dilation=st.floats(0.3, 3.0),
-       frac=st.floats(0.0, 1.0), angle=st.floats(0.0, 2 * math.pi))
-@example(K=2, dilation=3.0, frac=0.712, angle=0.1098)   # near the grid's end
-def test_projection_parity(K, dilation, frac, angle):
+@given(K=st.integers(1, 32), frac=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2 * math.pi))
+@example(K=2, frac=0.712, angle=0.1098)   # near the grid's end
+def test_projection_parity(K, frac, angle):
     # E_{-mu}[a, b] = (-1)^(a+b) E_mu[a, b] for E_mu[a, b] = <pi(mu) h_a, h_b>,
-    # for mu up to the truncation radius. ||h_a|| ||h_b|| = 1 bounds each
-    # entry and the sum of its terms' moduli, so the rounding bound is
-    # absolute: an entry that cancels to 1e-17 carries the same rounding
-    spec = make_spec(K=K, window_dilation=dilation)
+    # for mu = (alpha1, alpha2 / (2 pi)) up to the truncation radius |alpha|
+    # <= rho, on the spec's grid (the same at every dilation).
+    # ||h_a|| ||h_b|| = 1 bounds each entry and the sum of its terms'
+    # moduli, so the rounding bound is absolute: an entry that cancels to
+    # 1e-17 carries the same rounding
+    spec = make_spec(K=K)
     grid = spec.grid()
-    H = dilated_hermite_all(K - 1, dilation, grid.points)
+    H = dilated_hermite_all(K - 1, 1.0, grid.points)
     rho = frac * spec.radius
-    mu = np.array([[rho * math.cos(angle), rho * math.sin(angle)]])
-    E, E_minus = (frameop._project(m, range(K), dilation, grid.points,
-                                   grid.step, H)[0] for m in (mu, -mu))
+    mu = np.array([[rho * math.cos(angle), rho * math.sin(angle) / (2 * math.pi)]])
+    E, E_minus = (frameop._project(m, range(K), grid.points, grid.step, H)[0]
+                  for m in (mu, -mu))
     sigma = (-1.0) ** np.arange(K)
     assert np.max(np.abs(E_minus - np.outer(sigma, sigma) * E)) <= 1e-14
 
@@ -169,6 +171,18 @@ def _box_points(spec, corners):
 
 corner_lists = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                         min_size=1, max_size=8)
+
+
+def folded_projection(mu, rows, a, grid, K):
+    """``frameop._project`` of the points ``mu`` of a system dilated by a, at
+    dilation 1: at D mu, D = diag(1/sqrt(a), sqrt(a)), on the points and step
+    of ``grid`` over sqrt(a), against the undilated test basis there. By
+    h_{n,a}(x) = a^{-1/4} h_n(x/sqrt(a)) its Riemann sums are those of
+    ``complex_projection`` at (mu, a) on ``grid``."""
+    root_a = math.sqrt(a)
+    x = grid.points / root_a
+    H = dilated_hermite_all(K - 1, 1.0, x)
+    return frameop._project(mu * [1 / root_a, root_a], rows, x, grid.step / root_a, H)
 
 
 @settings(deadline=None, max_examples=40)
@@ -192,36 +206,37 @@ def test_rotated_projection_matches_the_complex_oracle(K, d, dilation, corners,
     H = dilated_hermite_all(K - 1, dilation, grid.points)
     mu = _box_points(spec, corners)
     rows = spec.indices if window_rows else range(K)
-    P = frameop._project(mu, rows, dilation, grid.points, grid.step, H)
+    P = folded_projection(mu, rows, dilation, grid, K)
     want = complex_projection(mu, rows, dilation, grid.points, grid.step, H)
     assert np.max(np.abs(P - want)) <= 1e-14
 
 
 @settings(deadline=None, max_examples=30)
-@given(K=st.integers(1, 128), d=st.integers(0, 3), dilation=st.floats(0.3, 3.0),
-       corners=corner_lists, window_rows=st.booleans())
-@example(K=12, d=0, dilation=1.0, corners=[(1.0, 0.0), (0.9, 0.1)], window_rows=True)
-@example(K=26, d=3, dilation=2.0, corners=[(0.0, 0.0), (0.0, 0.0)], window_rows=False)
-def test_cropped_projection_matches_the_full_grid(K, d, dilation, corners,
-                                                  window_rows):
-    # a chunk of points in ascending shift: the projection is a sum over
-    # the grid's points, so the whole grid's is the crop's plus that of the
-    # points outside it, which must be below rounding. (The crop's and the
-    # whole grid's sums themselves differ by their dot products' rounding,
-    # several ulps of an entry near 1.)
+@given(K=st.integers(1, 128), d=st.integers(0, 3), corners=corner_lists,
+       window_rows=st.booleans())
+@example(K=12, d=0, corners=[(1.0, 0.0), (0.9, 0.1)], window_rows=True)
+@example(K=26, d=3, corners=[(0.0, 0.0), (0.0, 0.0)], window_rows=False)
+def test_cropped_projection_matches_the_full_grid(K, d, corners, window_rows):
+    # a chunk of points in ascending shift, out to the corners of the box
+    # around the truncation ellipse (at dilation 1, which every dilation's
+    # assembly runs at): the projection is a sum over the grid's points, so
+    # the whole grid's is the crop's plus that of the points outside it,
+    # which must be below rounding. (The crop's and the whole grid's sums
+    # themselves differ by their dot products' rounding, several ulps of an
+    # entry near 1.)
     assume(K > d)
-    spec = make_spec(d=d, K=K, window_dilation=dilation)
+    spec = make_spec(d=d, K=K)
     grid = spec.grid()
     x = grid.points
-    H = dilated_hermite_all(K - 1, dilation, x)
+    H = dilated_hermite_all(K - 1, 1.0, x)
     mu = _box_points(spec, corners)
-    t = np.hypot(mu[:, 0], 2 * np.pi * dilation * mu[:, 1])
+    t = np.hypot(mu[:, 0], 2 * np.pi * mu[:, 1])
     mu, t = mu[np.argsort(t)], np.sort(t)
     crop = frameop._crop(spec, x, t)
     rows = spec.indices if window_rows else range(K)
     outside = np.r_[:crop.start, crop.stop:x.size]
-    P = frameop._project(mu, rows, dilation, x[crop], grid.step, H[:, crop])
-    dropped = frameop._project(mu, rows, dilation, x[outside], grid.step, H[:, outside])
+    P = frameop._project(mu, rows, x[crop], grid.step, H[:, crop])
+    dropped = frameop._project(mu, rows, x[outside], grid.step, H[:, outside])
     assert P.shape == dropped.shape == (len(mu), len(rows), K)
     assert np.max(np.abs(dropped), initial=0.0) <= 1e-16
 
@@ -232,7 +247,8 @@ def test_projection_matches_the_complex_oracle(K, dilation):
     # the direct side projects the window's rows (in the spec's order, or
     # reordered), the adjoint side every row below K; points cover the
     # spec's truncation ellipse, whose semi-axes are the two cutoffs; on
-    # the oracle's grid for the modulated integrand
+    # the oracle's grid for the modulated dilated integrand, which the
+    # projection at dilation 1 reads at D mu on that grid over sqrt(a)
     spec = make_spec(d=2, K=K, window_dilation=dilation)
     grid = modulated_grid(spec)
     H = dilated_hermite_all(K - 1, dilation, grid.points)
@@ -242,7 +258,7 @@ def test_projection_matches_the_complex_oracle(K, dilation):
     mu = np.column_stack([frac * np.cos(angle) * spec.time_cutoff(),
                           frac * np.sin(angle) * spec.freq_cutoff()])
     for rows in ((0, 1, 2), (2, 0), range(K)):
-        P = frameop._project(mu, rows, dilation, grid.points, grid.step, H)
+        P = folded_projection(mu, rows, dilation, grid, K)
         want = complex_projection(mu, rows, dilation, grid.points, grid.step, H)
         assert P.shape == want.shape == (16, len(rows), K)
         assert np.max(np.abs(P - want)) <= 1e-14
@@ -338,16 +354,19 @@ def test_frame_matrix_matches_direct_sum(d, M, K, kw):
 # width (not one scaled like the window's tails) cut the integrands off
 @example(K=2, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
 @example(K=3, d=1, dilation=3.0, log_ratio=0.0, angle=0.0, shear=0.0)
-# the smallest dilation, at the largest K it admits, on either side
+# the smallest dilation on either side, at K = 54 and at K = 128
 @example(K=54, d=2, dilation=0.03, log_ratio=-1.0, angle=0.4, shear=0.1)
 @example(K=54, d=2, dilation=0.03, log_ratio=1.0, angle=0.4, shear=0.1)
+@example(K=128, d=2, dilation=0.03, log_ratio=-1.0, angle=0.4, shear=0.1)
+@example(K=128, d=2, dilation=0.03, log_ratio=1.0, angle=0.4, shear=0.1)
 def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
                                             shear):
-    # the assembly samples at its aliasing step; the term-by-term direct
-    # sum of the modulated integrands, at the Nyquist step of the
-    # modulation cutoff and no coarser than 1/32, is an oracle that a too
-    # coarse step would miss. Below dilation ~0.1 that step is finer than
-    # 1/32, which GridSpec.build rejects, so the grid is built here.
+    # the assembly samples at its aliasing step, at dilation 1; the
+    # term-by-term direct sum of the dilated modulated integrands, at the
+    # Nyquist step of the modulation cutoff and no coarser than 1/32, is an
+    # oracle that a too coarse step, or a wrong map of the dilation, would
+    # miss. Below dilation ~0.1 that step is finer than 1/32, which
+    # GridSpec.build rejects, so the grid is built here.
     # K and the dilation are log-uniform in 1..128 and 0.03..3, as the
     # oracle's cost grows like K^2; |det M|^2 K / c = 2^log_ratio puts M
     # on either side of the rule.
@@ -355,14 +374,11 @@ def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
     t = (2.0 ** log_ratio * (d + 1) / K) ** 0.25
     c, s = math.cos(angle), math.sin(angle)
     M = LatticeMatrix(t * c, t * (c * shear - s), t * s, t * (s * shear + c))
-    try:
-        spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
-                               window_dilation=dilation)
-    except CapacityError:
-        assume(False)
+    spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
+                           window_dilation=dilation)
     step = min(DEFAULT_STEP, nyquist_step(spec.freq_cutoff(), K - 1, dilation))
     half = max(support_half_width(K - 1, dilation),
-               0.5 * spec.time_cutoff() + frameop._shift_pad(dilation))
+               0.5 * spec.time_cutoff() + shift_pad(dilation))
     fine = GridSpec(step=step, count=math.ceil(2 * half / step))
     ref = direct_frame_matrix(spec, grid=fine)
     S = assemble_frame_matrix(spec)
@@ -383,23 +399,42 @@ def test_nyquist_step_is_the_guard(max_modulation, max_index, dilation):
 
 @settings(deadline=None, max_examples=200)
 @given(K=st.integers(1, 256), d=st.integers(0, 8),
-       log_dilation=st.floats(-3.0, 1.2))
-def test_spec_admission_is_the_fixed_step_guard(K, d, log_dilation):
-    # the spec admits exactly the systems whose aliasing step 2 pi sqrt(a) /
-    # (2 sqrt(2K-1) + margin) is no finer than DEFAULT_STEP, and samples
-    # no finer than that
+       log_dilation=st.floats(-9.0, 9.0))
+def test_every_dilation_builds_the_dilation_one_grid(K, d, log_dilation):
+    # a dilation is a change of lattice: every spec, at dilations from
+    # 1.2e-4 to 8.1e3, is admitted and samples the grid of its undilated
+    # spec, at the aliasing step 2 pi / (2 sqrt(2K-1) + margin) of its K,
+    # which is no finer than DEFAULT_STEP up to K = 256
     assume(K > d)
-    dilation = math.exp(log_dilation)
-    step = (2 * math.pi * math.sqrt(dilation)
-            / (2 * math.sqrt(2 * K - 1) + frameop.ALIAS_MARGIN))
-    admitted = step >= DEFAULT_STEP
-    try:
-        spec = make_spec(d=d, K=K, window_dilation=dilation)
-    except CapacityError as exc:
-        assert not admitted and "Nyquist" in str(exc)
-    else:
-        assert admitted
-        assert spec.grid().step >= DEFAULT_STEP
+    grid = make_spec(d=d, K=K, window_dilation=math.exp(log_dilation)).grid()
+    assert grid == make_spec(d=d, K=K).grid()
+    assert grid.step == 2 * math.pi / (2 * math.sqrt(2 * K - 1) + frameop.ALIAS_MARGIN)
+    assert grid.step >= DEFAULT_STEP
+
+
+LATTICE_MAP_CASES = [
+    (1, LatticeMatrix(0.45, 0.1, -0.05, 0.4), 32),
+    (2, SHEARED, 16),
+    (0, LatticeMatrix(1.1, 0, 0.2, 0.9), 16),
+]
+
+
+@pytest.mark.parametrize("dilation", [1e-6, 0.033, 0.3, 1.7, 3.0, 1e4])
+@pytest.mark.parametrize("d, M, K", LATTICE_MAP_CASES)
+def test_dilated_bounds_are_those_of_the_mapped_lattice(d, M, K, dilation):
+    # D_a carries G(D_a h^d, M) unitarily onto G(h^d, diag(1/sqrt a, sqrt a) M),
+    # test space included: the two specs' bounds agree to rounding, on
+    # either side of the rule (the first two cases are summed over the
+    # adjoint lattice, the third directly)
+    root_a = math.sqrt(dilation)
+    dilated = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
+                              window_dilation=dilation)
+    mapped = GaborSystemSpec(window_degree=d, matrix=M.left_diag(1 / root_a, root_a),
+                             galerkin_dim=K)
+    fb, ref = frame_bounds(dilated), frame_bounds(mapped)
+    assert abs(fb.A_est - ref.A_est) <= 1e-14 * ref.B_est
+    assert abs(fb.B_est - ref.B_est) <= 1e-14 * ref.B_est
+    assert fb.converged == ref.converged
 
 
 def test_enumerated_lattice_follows_the_rule(monkeypatch):
@@ -427,10 +462,13 @@ def test_enumerated_lattice_follows_the_rule(monkeypatch):
         if dense:
             assert abs(lattice.determinant) == pytest.approx(
                 1.0 / abs(M.determinant), rel=1e-12)
-        # the summed points, in lattice coordinates k, are one of each pair
-        # +-k of the lattice's points with |alpha| <= rho, none near its edge
+        # the summed points, D gamma with D = diag(1/sqrt a, sqrt a) (the
+        # assembly runs at dilation 1), in lattice coordinates k, are one of
+        # each pair +-k of the lattice's points with |alpha| <= rho, none
+        # near its edge
         L = lattice.as_array()
-        g = np.concatenate(summed) * ([1.0, 1.0] if dense else [1.0, -1.0])
+        g = (np.concatenate(summed) * ([1.0, 1.0] if dense else [1.0, -1.0])
+             * [math.sqrt(a), 1 / math.sqrt(a)])
         k = np.rint(np.linalg.solve(L, g.T).T)
         np.testing.assert_allclose(k @ L.T, g, rtol=0, atol=1e-12 * spec.radius)
         kmax = ellipse_kmax(spec, L)
@@ -485,18 +523,35 @@ def test_spec_validation():
     for a in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             make_spec(window_dilation=a)
-    # the finest aliasing step admitted at K = 64, and the first rejected
-    make_spec(K=64, window_dilation=0.034)
-    with pytest.raises(CapacityError, match="Nyquist"):
-        make_spec(K=64, window_dilation=0.033)
+    # no dilation is refused for its grid, which is the one of dilation 1;
+    # where the dilation maps the lattice to a numerically singular one,
+    # at either end, the error says so
+    for a in (0.034, 0.033, 1e-6):
+        make_spec(K=64, window_dilation=a)
+    for a in (1e16, 1e-16):
+        with pytest.raises(ValueError, match="dilation .* numerically singular"):
+            make_spec(K=64, window_dilation=a)
     # the budget bounds the box of the summed lattice: a dense lattice's
     # sparse adjoint is admitted, an oversized box on either side is not
     make_spec(t=0.001, point_budget=1000)
     for M, a in ((LatticeMatrix(1e6, 0, 0, 1e-6), 1.0),
-                 (LatticeMatrix(1e-7, 0, 0, 8e4), 4.0)):
-        with pytest.raises(BudgetError):
+                 (LatticeMatrix(1e-7, 0, 0, 8e4), 4.0),
+                 (LatticeMatrix(0.5, 0, 0, 0.5), 1e-12)):
+        with pytest.raises(BudgetError, match="enumeration box"):
             GaborSystemSpec(window_degree=0, matrix=M, galerkin_dim=16,
                             window_dilation=a)
+    # and the (cK)^2 entries of the frame matrix, after the box: 3162^2
+    # entries fit the default budget and 3163^2 do not
+    make_spec(t=0.001, point_budget=256)
+    with pytest.raises(BudgetError, match="frame matrix 16x16 exceeds point budget 255"):
+        make_spec(t=0.001, point_budget=255)
+    with pytest.raises(BudgetError, match="enumeration box"):
+        make_spec(point_budget=255)
+    make_spec(t=0.01, K=3162)
+    with pytest.raises(BudgetError, match="frame matrix 3163x3163"):
+        make_spec(t=0.01, K=3163)
+    with pytest.raises(BudgetError, match="frame matrix 51456x51456"):
+        make_spec(d=200, t=0.01, K=256)
     for indices, message in (((0, -2), "nonnegative"), ((-1,), "nonnegative"),
                              ((), "at least one component"),
                              ((1.7,), "integers"), ((0, 1.0), "integers")):
