@@ -273,6 +273,20 @@ def test_validate_only(capsys):
     assert code == 2 and "galerkin_dim must exceed" in out
 
 
+def test_validate_nyquist_diagnostic(capsys):
+    # the Nyquist guard refused K = 64 between dilations 0.034 and 0.033,
+    # where the dilated window's aliasing step passed 1/32; the assembly now
+    # runs at dilation 1, so neither side is refused, by validation or run
+    argv = ("bounds", "--d", "0", "--matrix", "0.5,0,0,0.5", "--K", "64",
+            "--dilation")
+    for a in ("0.034", "0.033"):
+        code, out, _ = run(capsys, *argv, a, "--validate-only")
+        assert code == 0 and out.strip() == "ok"
+        code, out, err = run(capsys, *argv, a)
+        assert code == 0 and not err and "Nyquist" not in out
+        bounds_from_json(out)
+
+
 def test_small_dilations_are_admitted(capsys):
     # a small dilation narrows the window, which the assembly reads as the
     # lattice diag(1/sqrt a, sqrt a) M at dilation 1: no grid step limits
@@ -373,13 +387,25 @@ REJECTED = [
 ]
 
 
-@pytest.mark.parametrize("command,run_code,message", REJECTED)
+ADMITTED = [
+    # the Nyquist guard refused this one (dilation 0.0196 at K = 32) in
+    # validation and run alike; now both admit it
+    ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.14 --K 32", 0, "ok"),
+]
+
+
+@pytest.mark.parametrize("command,run_code,message", REJECTED + ADMITTED)
 def test_validate_only_agrees_with_run(tmp_path, capsys, command, run_code,
                                        message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 1.5}))
     argv = command.format(cfg=cfg).split()
     code, out, err = run(capsys, *argv, "--validate-only")
+    if run_code == 0:
+        assert code == 0 and out.strip() == message and not err
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err
+        return
     said = (out + err).strip().removeprefix("error: ")
     assert code == 2 and message in said
     code, out, err = run(capsys, *argv)
