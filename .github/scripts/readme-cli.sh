@@ -64,6 +64,16 @@ for a in 0.033 1e-6; do
   hermgabor bounds --d 0 --matrix "$mapped" --K 64 > mapped.json
   python3 -c 'import json, sys; r, s = (json.load(open(f)) for f in sys.argv[1:]); sys.exit(max(abs(r["A_est"] - s["A_est"]), abs(r["B_est"] - s["B_est"])) > 1e-13 * s["B_est"])' dilated.json mapped.json
 done
+# lattices at the edges of the float range: ||M||_F^2 overflows, yet the
+# matrix is invertible; bounds ~1/|det M| = 1e300 still answer, and past
+# the floats the run exits 2 naming the overflow, not a singular matrix
+hermgabor norm --matrix 1e155,0,0,1e155
+hermgabor bounds --matrix 1e-150,0,0,1e-150 --K 16 > tiny.json
+code=0
+hermgabor bounds --matrix 1e-160,0,0,1e-160 --K 16 2> overflow.txt || code=$?
+test "$code" -eq 2
+grep -q overflow overflow.txt
+if grep -q invertible overflow.txt; then exit 1; fi
 # a frame matrix of (cK)^2 = 2.6e9 entries (~42 GB) exceeds the point
 # budget: rejected with exit 3 before any work, and reported by
 # --validate-only

@@ -7,12 +7,11 @@ tightness scans / scaling-law probes over lattice ladders (`scan`).
 
 from .errors import (BudgetError, CapacityError, ConvergenceError, GaborError,
                      PreconditionError, ResolutionError)
-from .grid import DEFAULT_STEP, GridSpec
 from .hermite import VectorWindow, dilated_hermite, dilated_hermite_all
 from .lattice import (LatticeMatrix, LatticePointSet, box_norm, covolume,
                       enumerate_points)
-from .timefreq import Region, SampledField, default_region, stft
-from .frameop import (FrameBounds, GaborSystemSpec, bounds_from_json,
+from .timefreq import DEFAULT_STEP, Region, SampledField, default_region, stft
+from .frameop import (FrameBounds, GaborSystemSpec, GridSpec, bounds_from_json,
                       bounds_to_json, component_bound_aggregate, frame_bounds,
                       gl_predicate, is_frame)
 from .certify import (Certificate, ambiguity, certificate,

@@ -48,8 +48,8 @@ e^{-delta^2/4} at a distance delta past that sum. The step 2 pi /
 (2 sqrt(2K-1) + ALIAS_MARGIN) puts 1/h at delta = 14 (e^{-49} ~ 5e-22).
 
 ``_assemble`` takes the points in order of t, so that each chunk samples
-only its ``_crop`` of the grid: from t_min - S, S the support half-width of
-the Hermite functions, to the larger of S and t_max/2 + SHIFT_PAD. Past
+only its ``_crop`` of the grid: from t_min - S, S = ``support_half_width``
+of the Hermite functions, to the larger of S and t_max/2 + SHIFT_PAD. Past
 both supports a product of two tails peaks near t/2, so the grid reaches
 rho/2 + SHIFT_PAD at least: the integrands of the outermost shell, which
 ``FrameBounds.tail_bound`` sums, are then whole.
@@ -60,16 +60,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .grid import GridSpec, support_half_width
 from .lattice import (DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm, covolume,
                       enumerate_points, enumeration_box)
-from .hermite import dilated_hermite_all, hermite_indices
+from .hermite import dilated_hermite_all, hermite_indices, support_half_width
 
 DEFAULT_GALERKIN_DIM = 64
 TRUNCATION_MARGIN = 10.0
@@ -88,6 +88,25 @@ ALIAS_MARGIN = 14.0
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    """The quadrature grid of ``GaborSystemSpec.grid``: ``count`` cell centres
+    (j - (count-1)/2)*step, exactly symmetric under x -> -x like the parity."""
+
+    step: float
+    count: int
+
+    def __post_init__(self):
+        if not 0 < self.step < math.inf:
+            raise ValueError("grid step must be finite and positive")
+        if self.count < 2:
+            raise ValueError("grid needs at least 2 points")
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.step * (np.arange(self.count) - (self.count - 1) / 2.0)
+
+
 def _joint_support(galerkin_dim: int, max_window_index: int) -> float:
     """Oscillator supports of the widest test function and window component, added."""
     return math.sqrt(2 * galerkin_dim + 1) + math.sqrt(2 * max_window_index + 1)
@@ -100,9 +119,10 @@ class GaborSystemSpec:
     The window is (h_0,...,h_d) by default; ``component_indices`` overrides
     the component list (e.g. (1,) for the scalar h_1 system, (0, 0) for the
     degenerate duplicated-Gaussian window). ``window_dilation`` applies D_a
-    to window and test basis alike (module docstring). Construction checks
-    the enumeration box of the truncation ellipse (``radius``), then the
-    (cK)^2 entries of the frame matrix, against the point budget
+    to window and test basis alike (module docstring). Construction refuses
+    a |det M| whose frame bounds overflow the floats (ValueError), then
+    checks the enumeration box of the truncation ellipse (``radius``) and
+    the (cK)^2 entries of the frame matrix against the point budget
     (BudgetError).
     """
 
@@ -121,6 +141,11 @@ class GaborSystemSpec:
             raise ValueError("galerkin_dim must exceed the largest window index")
         if not 0 < self.window_dilation < math.inf:
             raise ValueError("window dilation must be finite and positive")
+        # at a tiny |det M| Janssen's sum is its origin's term, the Gram matrix
+        # (norm <= c) over |det M|, which the assembly adds to its adjoint
+        det = covolume(self.matrix)
+        if det * sys.float_info.max < 2 * len(self.indices):
+            raise ValueError(f"frame bounds ~1/|det M| overflow the floats: |det M| = {det:.3g}")
         enumeration_box(self._alpha_lattice(), self.radius, self.point_budget)
         n = len(self.indices) * self.galerkin_dim
         if n * n > self.point_budget:
@@ -151,19 +176,24 @@ class GaborSystemSpec:
         when |det M|^2 K < c, built once per spec. Both sides keep the same
         ellipse, so the adjoint side has |det M|^2 times as many points; per
         point it projects K window rows instead of c."""
-        if covolume(self.matrix) ** 2 * self.galerkin_dim < len(self.indices):
+        # past |det M| = 1e150, |det M|^2 K > c, and the square would overflow
+        if min(covolume(self.matrix), 1e150) ** 2 * self.galerkin_dim < len(self.indices):
             return self.matrix.adjoint()
         return self.matrix
 
     def _alpha_lattice(self) -> LatticeMatrix:
         """The summed lattice in the coordinates alpha of ``radius``; the
         only dilated object the assembly reads."""
-        lattice, root_a = self.summed_lattice, math.sqrt(self.window_dilation)
+        lattice, a = self.summed_lattice, self.window_dilation
         try:
-            return lattice.left_diag(1.0 / root_a, TWO_PI * root_a)
-        except ValueError:
-            raise ValueError(f"window dilation {self.window_dilation!r} maps the summed "
-                             f"lattice to a numerically singular one") from None
+            return lattice.left_diag(1.0 / math.sqrt(a), TWO_PI * math.sqrt(a))
+        except ValueError as exc:  # an entry past the floats, or a singular map
+            if "finite" in str(exc):  # LatticeMatrix's message for the former
+                raise ValueError("the summed lattice overflows the floats in the "
+                                 "coordinates alpha") from None
+            who = "the map to alpha" if a == 1.0 else f"window dilation {a!r}"
+            raise ValueError(f"{who} maps the summed lattice to a numerically "
+                             f"singular one") from None
 
     def freq_cutoff(self) -> float:
         """rho/(2 pi sqrt(a)), the ellipse's frequency semi-axis: modulations

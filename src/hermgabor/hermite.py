@@ -9,7 +9,8 @@ which is numerically stable for all indices used here; the Rodrigues
 form with its factorial prefactors is kept only as a small-n test oracle.
 Beyond |x| = FAR_X the start exp(-x^2/2) would lose its digits and then
 underflow, though h_n(x) need not be small there for large n, so those
-points run a rescaled recurrence (``_hermite_all_far``).
+points run a rescaled recurrence (``_hermite_all_far``); past
+``support_half_width`` the h_n themselves are below rounding.
 """
 
 from __future__ import annotations
@@ -20,14 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import dilation_scale
-
 # beyond this |x|, exp(-x^2/2) < 1e-304 nears the subnormal floats
 FAR_X = math.sqrt(1400.0)
 # the step by which a rescaled recurrence divides its state: exact in
 # binary, and far from both ends of the float range
 RESCALE = 2.0 ** 500
 LOG_RESCALE = 500.0 * math.log(2.0)
+
+
+def support_half_width(max_index: int) -> float:
+    """sqrt(2n+1) + 8, at least 12: past it h_n, n <= ``max_index``, are below
+    rounding, as beyond its support sqrt(2n+1) h_n is below 1e-14 after +6."""
+    return max(math.sqrt(2 * max_index + 1) + 8.0, 12.0)
+
+
+def dilation_scale(a: float) -> float:
+    """|a|; ValueError unless the dilation a is finite and nonzero."""
+    if a == 0 or not math.isfinite(a):
+        raise ValueError("dilation parameter must be finite and nonzero")
+    return abs(a)
 
 
 def rescale_large(log_scale: np.ndarray, lead: np.ndarray, *states) -> None:

@@ -27,10 +27,22 @@ class LatticeMatrix:
         if not all(map(math.isfinite, m)):
             raise ValueError("lattice matrix entries must be finite")
         self.__dict__.update(m11=m11, m12=m12, m21=m21, m22=m22)  # frozen: bypass __setattr__
-        # |det| / ||M||_F^2 ~ 1/cond(M) is scale-free; 1e-14 is ~100x its rounding error
+        # |det| / ||M||_F^2 ~ 1/cond(M) is scale-free; 1e-14 is ~100x its rounding
+        # error. With ||M||_F^2 outside 1e+-270 a product may over- or underflow,
+        # so the ratio is read off M = 2^e N, an exact scale that changes no verdict
         frob2 = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        if not 1e-270 < frob2 < 1e270:
+            m11, m12, m21, m22 = self._unit_scaled()[1]
+            frob2 = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
         if not abs(m11 * m22 - m12 * m21) > 1e-14 * frob2:
             raise ValueError("lattice matrix must be invertible (|det| > 1e-14 ||M||_F^2)")
+
+    def _unit_scaled(self) -> tuple:
+        """(e, (n11, n12, n21, n22)): M = 2^e N exactly, N's largest entry in [1/2, 1)."""
+        m11, m12, m21, m22 = self.m11, self.m12, self.m21, self.m22
+        e = math.frexp(max(abs(m11), abs(m12), abs(m21), abs(m22)))[1]
+        return e, (math.ldexp(m11, -e), math.ldexp(m12, -e),
+                   math.ldexp(m21, -e), math.ldexp(m22, -e))
 
     @property
     def determinant(self) -> float:
@@ -64,10 +76,12 @@ class LatticeMatrix:
     def adjoint(self) -> "LatticeMatrix":
         """J^{-1} M^{-T}, J^{-1} = [[0, -1], [1, 0]]: the generator of the
         adjoint lattice, the points mu with gamma1*mu2 - gamma2*mu1 in Z for
-        every gamma in M(Z^2); its covolume is 1/|det M|."""
-        det = self.determinant
-        return LatticeMatrix(self.m12 / det, -self.m11 / det,
-                             self.m22 / det, -self.m21 / det)
+        every gamma in M(Z^2); its covolume is 1/|det M|. Computed as 2^-e
+        J^{-1} N^{-T}, M = 2^e N, so det M may over- or underflow; where its
+        products are normal floats, that is (m12, -m11, m22, -m21) / det M."""
+        e, (n11, n12, n21, n22) = self._unit_scaled()
+        det = n11 * n22 - n12 * n21
+        return LatticeMatrix(*(math.ldexp(v / det, -e) for v in (n12, -n11, n22, -n21)))
 
 
 def box_norm(M: LatticeMatrix) -> float:

@@ -2,9 +2,9 @@
 
 A ``Region`` is a rectangle of the (x, xi) plane with its sampling steps,
 and a ``SampledField`` holds values on its grid. ``stft`` samples the
-ambiguity function V_w w by quadrature on a real-line grid it sizes for the
-window and the region (windows carry no grid). The library computes the
-ambiguity function in closed form (``certify.ambiguity``), and the tests
+ambiguity function V_w w by quadrature, under ``nyquist_step``, on a grid
+it sizes for the window and the region (windows carry no grid). The
+library computes it in closed form (``certify.ambiguity``), and the tests
 use ``stft`` as the oracle for that closed form.
 
 Phase convention: T_x M_xi w(t) = exp(2*pi*i*xi*(t - x)) * w(t - x).
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError
-from .grid import BUILD_PAD, DEFAULT_STEP, GridSpec
-from .hermite import VectorWindow, dilated_hermite_all
+from .errors import BudgetError, CapacityError
+from .hermite import VectorWindow, dilated_hermite_all, dilation_scale
 from .lattice import DEFAULT_POINT_BUDGET
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_STEP = 1.0 / 32.0
 REGION_STEP = 1.0 / 16.0
 # first window degree whose default region is widened in time
 WIDE_REGION_DEGREE = 5
@@ -129,18 +129,34 @@ class SampledField:
             object.__setattr__(self, name, float(axis[i + 1] - axis[i]))
 
 
+def _band(max_index: int, dilation: float) -> float:
+    """sqrt(2n+1)/(2 pi sqrt|a|): the frequency reach of h_{n,a}."""
+    return math.sqrt(2 * max_index + 1) / (2.0 * math.pi * math.sqrt(dilation_scale(dilation)))
+
+
+def nyquist_step(max_modulation: float, max_index: int, dilation: float = 1.0) -> float:
+    """The coarsest step of ``stft``'s Riemann sums of h_{n,a}, n <= ``max_index``,
+    a = ``dilation``, modulated up to ``max_modulation``: 1/(2*(max_modulation
+    + _band + 1)), so that their Fourier transforms at 1/h, the sums' errors
+    by Poisson summation, are below rounding (Trefethen & Weideman, 2014)."""
+    return 1.0 / (2.0 * (max_modulation + _band(max_index, dilation) + 1.0))
+
+
 def stft(window: VectorWindow, region: Region) -> SampledField:
     """V_w w(x, xi) = <w, T_x M_xi w> sampled over the region, by a Riemann
-    sum on a step-1/32 grid that holds every time shift of the window across
-    the region; CapacityError when that step does not resolve the region's
-    modulations (Nyquist)."""
+    sum at step DEFAULT_STEP on cells covering the region's times plus the
+    window's support sqrt((2n+1)|a|) + 8; CapacityError when that step does
+    not resolve the region's modulations (``nyquist_step``)."""
     n, a, rows = max(window.indices), window.dilation, list(window.indices)
-    half = region.x_half + math.sqrt((2 * n + 1) * abs(a)) + BUILD_PAD
-    grid = GridSpec(step=DEFAULT_STEP, count=math.ceil(2.0 * half / DEFAULT_STEP))
-    grid.check_nyquist(float(region.xi_axis[-1]), n, a)
+    xi_max = float(region.xi_axis[-1])
+    if DEFAULT_STEP > nyquist_step(xi_max, n, a):
+        raise CapacityError(f"Nyquist guard violated: 1/(2*{DEFAULT_STEP}) < "
+                            f"{xi_max} + {_band(n, a):.4f} + 1")
+    half = region.x_half + math.sqrt((2 * n + 1) * abs(a)) + 8.0
+    count = math.ceil(2.0 * half / DEFAULT_STEP)
+    t = DEFAULT_STEP * (np.arange(count) - (count - 1) / 2.0)
     x_axis = region.x_axis
     xi_axis = region.xi_axis
-    t = grid.points
     B = np.exp(-1j * TWO_PI * np.outer(xi_axis, t))  # (n_xi, N)
     out = np.empty((x_axis.size, xi_axis.size), dtype=complex)
     wstack = dilated_hermite_all(n, a, t)[rows]  # (c, N)
@@ -154,5 +170,5 @@ def stft(window: VectorWindow, region: Region) -> SampledField:
         block = (B @ U).T  # (chunk, n_xi)
         block *= np.exp(1j * TWO_PI * np.outer(xs, xi_axis))
         out[start:start + xs.size] = block
-    out *= grid.step
+    out *= DEFAULT_STEP
     return SampledField(x_axis=x_axis, xi_axis=xi_axis, values=out)

@@ -35,28 +35,23 @@ def numpy_box_norm(M):
                      np.linalg.norm(A @ np.array([0.5, -0.5]))))
 
 
-def numpy_enumeration_box(M, radius, budget):
-    """The enumeration box from np.linalg.inv: half sides ceil(radius
-    ||row i of M^{-1}||_2), and BudgetError past ``budget`` points."""
-    from hermgabor import BudgetError
-
-    rows = np.linalg.norm(np.linalg.inv(M.as_array()), axis=1)
-    k1max, k2max = (int(np.ceil(radius * n)) for n in rows)
-    if (2 * k1max + 1) * (2 * k2max + 1) > budget:
-        raise BudgetError("enumeration box exceeds point budget")
-    return k1max, k2max
-
-
-def lattice_matrix_error(*entries):
+def lattice_matrix_error(*entries, scaled=True):
     """(type, message) of the error LatticeMatrix raises for the entries
     m11, m12, m21, m22, or None, by its field-by-field validation: each
-    entry a finite float, then |det| > 1e-14 ||M||_F^2."""
+    entry a finite float, then |det| > 1e-14 ||M||_F^2 on the matrix
+    divided by the power of two at or below its largest entry (exactly, so
+    that its products neither overflow nor underflow), or on the matrix
+    itself when not ``scaled``."""
     values = []
     for entry in entries:
         value = float(entry)
         if not math.isfinite(value):
             return ValueError, "lattice matrix entries must be finite"
         values.append(value)
+    top = max(map(abs, values))
+    if scaled and top > 0:
+        scale = 2.0 ** (math.frexp(top)[1] - 1)
+        values = [v / scale for v in values]
     m11, m12, m21, m22 = values
     frob2 = sum(m * m for m in values)
     if not abs(m11 * m22 - m12 * m21) > 1e-14 * frob2:
@@ -109,6 +104,20 @@ def shift_pad(dilation):
     return SHIFT_PAD * max(math.sqrt(dilation), 1.0)
 
 
+def hermite_grid(max_index, step=1 / 32, dilation=1.0, min_half_width=0.0):
+    """The cell-centred grid at ``step`` over [-X, X], X the larger of
+    ``min_half_width`` and the half-width past which h_{n,a}, n <=
+    ``max_index``, a = ``dilation``, are below rounding: their oscillator
+    support sqrt(2n+1) sqrt(a) plus 8 max(sqrt(a), 1), as their Gaussian
+    tails e^{-x^2/(2a)} widen past dilation 1, and at least 12."""
+    from hermgabor import GridSpec
+
+    root_a = math.sqrt(abs(dilation))
+    half = max(math.sqrt(2 * max_index + 1) * root_a + 8.0 * max(root_a, 1.0),
+               12.0, min_half_width)
+    return GridSpec(step=step, count=math.ceil(2.0 * half / step))
+
+
 def modulated_grid(spec):
     """A grid for Riemann sums of the modulated integrands pi(gamma) w_i
     h_m of the dilated window, gamma in the spec's truncation ellipse: at
@@ -116,13 +125,14 @@ def modulated_grid(spec):
     ``spec.freq_cutoff()`` (no coarser than 1/32, and CapacityError where it
     would have to be finer), out to half the time cutoff plus
     ``shift_pad``."""
-    from hermgabor import DEFAULT_STEP, GridSpec
-    from hermgabor.grid import nyquist_step
+    from hermgabor import DEFAULT_STEP, CapacityError
+    from hermgabor.timefreq import nyquist_step
 
     K, a, cutoff = spec.galerkin_dim, spec.window_dilation, spec.freq_cutoff()
-    return GridSpec.build(max_index=K - 1, max_modulation=cutoff, dilation=a,
-                          step=max(DEFAULT_STEP, nyquist_step(cutoff, K - 1, a)),
-                          min_half_width=0.5 * spec.time_cutoff() + shift_pad(a))
+    step = nyquist_step(cutoff, K - 1, a)
+    if step < DEFAULT_STEP:
+        raise CapacityError(f"Nyquist guard violated at modulation {cutoff}")
+    return hermite_grid(K - 1, step, a, 0.5 * spec.time_cutoff() + shift_pad(a))
 
 
 def direct_frame_matrix(spec, grid=None):
@@ -242,7 +252,7 @@ def full_field_certificate(w, M, region):
 def hermite_operator_residual(n, grid, dilation=1.0):
     """Relative residual of x^2 h - a^2 h'' - |a|(2n+1) h, h = h_{n,a}, on
     the interior points of ``grid``, which must hold h's support (a grid
-    from ``GridSpec.build(max_index >= n, dilation=a)`` does). Second
+    from ``hermite_grid(max_index >= n, dilation=a)`` does). Second
     derivatives are centered differences; the two boundary points are left
     out of the norm. For dilation 1 this is the plain eigenrelation
     H h_n = (2n+1) h_n."""

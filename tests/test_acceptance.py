@@ -14,8 +14,8 @@ import pytest
 
 import _acceptance_report
 import hermgabor as hg
-from _oracles import (hermite_operator_residual, sampled_box_norm_oracle,
-                      twisted_convolve)
+from _oracles import (hermite_grid, hermite_operator_residual,
+                      sampled_box_norm_oracle, twisted_convolve)
 from hermgabor.scan import records_to_csv
 
 
@@ -28,7 +28,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_hermite_orthonormality():
     t0 = time.perf_counter()
-    grid = hg.GridSpec.build(max_index=20)
+    grid = hermite_grid(20)
     table = hg.dilated_hermite_all(20, 1.0, grid.points)
     gram = grid.step * (table @ table.T)
     err = float(np.max(np.abs(gram - np.eye(21))))
@@ -42,10 +42,8 @@ def test_criterion_02_eigenrelation():
     worst = 0.0
     worst_ratio = (math.inf, 0.0)
     for n in range(6):
-        r1 = hermite_operator_residual(
-            n, hg.GridSpec.build(max_index=n, step=1 / 32))
-        r2 = hermite_operator_residual(
-            n, hg.GridSpec.build(max_index=n, step=1 / 64))
+        r1 = hermite_operator_residual(n, hermite_grid(n, step=1 / 32))
+        r2 = hermite_operator_residual(n, hermite_grid(n, step=1 / 64))
         worst = max(worst, r1)
         ratio = r1 / r2
         worst_ratio = (min(worst_ratio[0], ratio), max(worst_ratio[1], ratio))

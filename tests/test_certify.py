@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermgabor.certify as certify_module
-from hermgabor import (GaborSystemSpec, GridSpec, LatticeMatrix,
+from hermgabor import (GaborSystemSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, VectorWindow, ambiguity, box_norm,
                        certificate, certificate_from_json,
@@ -24,7 +24,7 @@ from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
 from hermgabor.timefreq import (WIDE_REGION_DEGREE, _dilated_region,
                                 _stretched_region)
 
-from _oracles import (full_field_certificate, oscillation_oracle,
+from _oracles import (full_field_certificate, hermite_grid, oscillation_oracle,
                       twisted_convolve)
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
@@ -280,7 +280,7 @@ def test_orthonormality_check_agrees_with_quadrature(indices):
     # is the oracle
     n = max(indices)
     w = VectorWindow(indices)
-    grid = GridSpec.build(n)
+    grid = hermite_grid(n)
     table = dilated_hermite_all(n, w.dilation, grid.points)[list(indices)]
     gram = grid.step * (table @ table.T)
     orthonormal = np.max(np.abs(gram - np.eye(len(indices)))) <= 1e-12

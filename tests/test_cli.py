@@ -391,7 +391,25 @@ ADMITTED = [
     # the Nyquist guard refused this one (dilation 0.0196 at K = 32) in
     # validation and run alike; now both admit it
     ("covariance --d 0 --matrix 0.4,0,0,0.4 --b 0.14 --K 32", 0, "ok"),
+    # ||M||_F^2 overflowed, and the adjoint's with it: "must be invertible"
+    ("norm --matrix 1e155,0,0,1e155", 0, "ok"),
+    ("bounds --d 0 --matrix 1e-150,0,0,1e-150 --K 16", 0, "ok"),
+    ("bounds --d 0 --matrix 1e100,0,0,1e100 --K 16", 0, "ok"),
 ]
+
+
+@pytest.mark.parametrize("matrix", ["1e-154,0,0,1e-154", "1e-160,0,0,1e-160",
+                                    "1e-310,0,0,1e-310", "1e308,0,0,1e308"])
+def test_overflowing_lattices_name_the_overflow(capsys, matrix):
+    # invertible lattices whose frame bounds ~1/|det M|, or whose points in
+    # the coordinates alpha, are past the floats: exit 2 naming the
+    # overflow, in validation and run alike, and neither a singular matrix
+    # nor the dilation 1
+    argv = ("bounds", "--d", "0", "--matrix", matrix, "--K", "16")
+    for extra in (("--validate-only",), ()):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and "overflow" in out + err
+        assert "invertible" not in out + err and "dilation" not in out + err
 
 
 @pytest.mark.parametrize("command,run_code,message", REJECTED + ADMITTED)

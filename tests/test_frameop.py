@@ -8,16 +8,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hermgabor import (BudgetError, CapacityError, FrameBounds,
-                       GaborSystemSpec, LatticeMatrix, bounds_from_json,
+from hermgabor import (BudgetError, FrameBounds, GaborSystemSpec,
+                       LatticeMatrix, bounds_from_json,
                        bounds_to_json, component_bound_aggregate, frame_bounds,
                        gl_predicate, is_frame)
 from hermgabor import DEFAULT_STEP, GridSpec, dilated_hermite_all, frameop
-from hermgabor.grid import nyquist_step, support_half_width
+from hermgabor.timefreq import nyquist_step
 
 from _oracles import (assemble_frame_matrix, complex_projection,
                       direct_frame_matrix, ellipse_kmax, ellipse_norm,
-                      modulated_grid, shell_tail_bound, shift_pad)
+                      hermite_grid, modulated_grid, shell_tail_bound,
+                      shift_pad)
 
 
 def make_spec(d=0, t=0.5, K=16, **kw):
@@ -365,8 +366,8 @@ def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
     # term-by-term direct sum of the dilated modulated integrands, at the
     # Nyquist step of the modulation cutoff and no coarser than 1/32, is an
     # oracle that a too coarse step, or a wrong map of the dilation, would
-    # miss. Below dilation ~0.1 that step is finer than 1/32, which
-    # GridSpec.build rejects, so the grid is built here.
+    # miss. Below dilation ~0.1 that step is finer than 1/32, where
+    # ``modulated_grid`` raises, so the grid is built here.
     # K and the dilation are log-uniform in 1..128 and 0.03..3, as the
     # oracle's cost grows like K^2; |det M|^2 K / c = 2^log_ratio puts M
     # on either side of the rule.
@@ -377,24 +378,12 @@ def test_nyquist_grid_matches_the_fine_grid(K, d, dilation, log_ratio, angle,
     spec = GaborSystemSpec(window_degree=d, matrix=M, galerkin_dim=K,
                            window_dilation=dilation)
     step = min(DEFAULT_STEP, nyquist_step(spec.freq_cutoff(), K - 1, dilation))
-    half = max(support_half_width(K - 1, dilation),
-               0.5 * spec.time_cutoff() + shift_pad(dilation))
-    fine = GridSpec(step=step, count=math.ceil(2 * half / step))
+    fine = hermite_grid(K - 1, step, dilation,
+                        0.5 * spec.time_cutoff() + shift_pad(dilation))
     ref = direct_frame_matrix(spec, grid=fine)
     S = assemble_frame_matrix(spec)
     B = np.linalg.eigvalsh(ref)[-1]
     assert np.linalg.norm(S - ref, 2) <= 1e-13 * B
-
-
-@settings(deadline=None, max_examples=200)
-@given(max_modulation=st.floats(0.0, 100.0), max_index=st.integers(0, 1000),
-       dilation=st.floats(0.01, 100.0))
-def test_nyquist_step_is_the_guard(max_modulation, max_index, dilation):
-    step = nyquist_step(max_modulation, max_index, dilation)
-    GridSpec(step=step, count=2).check_nyquist(max_modulation, max_index, dilation)
-    with pytest.raises(CapacityError, match="Nyquist"):
-        GridSpec(step=np.nextafter(step, math.inf), count=2).check_nyquist(
-            max_modulation, max_index, dilation)
 
 
 @settings(deadline=None, max_examples=200)
@@ -410,6 +399,18 @@ def test_every_dilation_builds_the_dilation_one_grid(K, d, log_dilation):
     assert grid == make_spec(d=d, K=K).grid()
     assert grid.step == 2 * math.pi / (2 * math.sqrt(2 * K - 1) + frameop.ALIAS_MARGIN)
     assert grid.step >= DEFAULT_STEP
+
+
+@pytest.mark.parametrize("K,counts", [(16, (123, 126, 128, 130)),
+                                      (32, (158, 161, 164, 166)),
+                                      (64, (225,) * 4), (128, (351,) * 4)])
+def test_grid_node_counts(K, counts):
+    # README's node counts for d = 0..3: up to K = 32 the reach rho/2 +
+    # SHIFT_PAD sets them, from K = 64 on the support sqrt(2K-1) + 8 of
+    # h_{K-1}; neither depends on the lattice or the dilation
+    for d, count in enumerate(counts):
+        assert make_spec(d=d, K=K).grid().count == count
+        assert make_spec(d=d, K=K, t=0.9, window_dilation=0.3).grid().count == count
 
 
 LATTICE_MAP_CASES = [
@@ -515,6 +516,28 @@ def test_adjoint_lattice():
     assert abs(adj.determinant) == pytest.approx(1.0 / abs(SHEARED.determinant))
     # J^{-1} J^{-1} = -I: the adjoint's adjoint generates M(Z^2) again
     assert adj.adjoint().as_array() == pytest.approx(-SHEARED.as_array())
+
+
+@pytest.mark.parametrize("exponent", [*range(-160, -149), *range(150, 161)])
+def test_lattices_past_the_float_range_answer_or_name_the_overflow(exponent):
+    # s I and s R(0.3), s = 10^exponent, with the window (h_0, h_1): below
+    # |det M| = 2c / max float the bounds ~1/|det M| are refused, naming
+    # the overflow; above it they are 1/|det M| (Janssen's sum is its
+    # origin's term), and past s = 1e150 the lattice holds only the origin,
+    # whose rank-one term has the Galerkin bounds 0 and c = 2
+    s, c, sn = 10.0 ** exponent, math.cos(0.3), math.sin(0.3)
+    for M in (LatticeMatrix(s, 0, 0, s), LatticeMatrix(s * c, -s * sn, s * sn, s * c)):
+        if exponent <= -154:
+            with pytest.raises(ValueError, match="overflow the floats") as info:
+                GaborSystemSpec(window_degree=1, matrix=M, galerkin_dim=16)
+            assert "invertible" not in str(info.value)
+            continue
+        fb = frame_bounds(GaborSystemSpec(window_degree=1, matrix=M, galerkin_dim=16))
+        if exponent < 0:
+            det = abs(M.determinant)
+            assert abs(fb.A_est * det - 1) < 1e-12 and abs(fb.B_est * det - 1) < 1e-12
+        else:
+            assert fb.A_est == 0 and fb.B_est == pytest.approx(2, abs=1e-12)
 
 
 def test_spec_validation():

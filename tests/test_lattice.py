@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (lattice_matrix_error, numpy_box_norm,
-                      numpy_enumeration_box, sampled_box_norm_oracle)
+                      sampled_box_norm_oracle)
 from hermgabor import (BudgetError, LatticeMatrix, box_norm, covolume,
                        enumerate_points)
 from hermgabor.lattice import enumeration_box
@@ -79,6 +80,17 @@ def test_invertibility_accepts_badly_scaled_lattices():
               LatticeMatrix(1e-12, 1, 1e-12, -1).scaled(0.5),
               LatticeMatrix(0.15, -0.075, 0, 0.15).scaled(1e-9)):
         assert covolume(M) > 0
+
+
+@pytest.mark.parametrize("exponent", [*range(-160, -149), *range(150, 161)])
+def test_scale_alone_never_makes_a_lattice_or_its_adjoint_singular(exponent):
+    # s I and s R(0.3), s = 10^exponent, where ||M||_F^2 or |det M|
+    # over- or underflows: each is a lattice, so is its adjoint, and the
+    # adjoint's adjoint is -M (J^{-1} J^{-1} = -I)
+    s, c, sn = 10.0 ** exponent, math.cos(0.3), math.sin(0.3)
+    for M in (LatticeMatrix(s, 0, 0, s), LatticeMatrix(s * c, -s * sn, s * sn, s * c)):
+        np.testing.assert_allclose(M.adjoint().adjoint().as_array(), -M.as_array(),
+                                   rtol=4e-15, atol=0)
 
 
 def test_invertibility_rejects_numerically_singular():
@@ -193,24 +205,46 @@ def test_box_norm_matches_the_numpy_form(M):
     assert abs(box_norm(M) - want) <= 2 * math.ulp(want)
 
 
+def disc_extent(M, radius, samples=1 << 16):
+    """max |k_i| over k = M^{-1} y, y on the circle of the radius, by
+    sampling the circle: below the extent by a relative 1.2e-9 at most."""
+    theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    circle = radius * np.vstack([np.cos(theta), np.sin(theta)])
+    return np.abs(np.linalg.solve(M.as_array(), circle)).max(axis=1)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(lattices(), scaled_lattices()),
        st.floats(min_value=0.1, max_value=100.0),
        st.integers(min_value=1, max_value=10 ** 7))
 @example(M=LatticeMatrix(0.5, 0.5, -0.5, 0.5), radius=3.0, budget=10 ** 7)
 @example(M=LatticeMatrix(3, 1, 0, 0.5), radius=1.5, budget=25)
+# a tie: k = (0, 1) lies on the circle, which ends at k2 = 1 exactly
 @example(M=LatticeMatrix(1.59375, 0, 0, 0.47656130306139044),
          radius=0.47656130306139044, budget=9)
-def test_enumeration_box_matches_the_numpy_inverse(M, radius, budget):
-    # the box of np.linalg.inv, or its BudgetError, at ties of radius *
-    # ||row of M^{-1}|| with an integer too
+def test_enumeration_box_holds_the_disc_and_is_minimal(M, radius, budget):
+    # by brute force: every k with ||Mk|| <= radius lies in the box, and
+    # the disc reaches past the box one smaller on each axis, up to ties of
+    # its extent with an integer; the box is refused exactly when it holds
+    # more than the budget's points
     try:
-        want = numpy_enumeration_box(M, radius, budget)
+        box = enumeration_box(M, radius, budget)
     except BudgetError:
-        with pytest.raises(BudgetError, match="exceeds point budget"):
-            enumeration_box(M, radius, budget)
+        box = enumeration_box(M, radius, math.inf)
+        assert (2 * box[0] + 1) * (2 * box[1] + 1) > budget
+    else:
+        assert (2 * box[0] + 1) * (2 * box[1] + 1) <= budget
+    extent = disc_extent(M, radius)
+    for k_max, reach in zip(box, extent):
+        assert k_max - 1 < reach * (1 + 1e-8) and reach <= k_max * (1 + 1e-12)
+    # every k of the disc within the singular-value bound ||k|| <=
+    # radius / s_min, when that square has at most ~10^6 points
+    side = math.ceil(radius / np.linalg.svd(M.as_array(), compute_uv=False)[-1])
+    if side > 500:
         return
-    assert enumeration_box(M, radius, budget) == want
+    k = np.stack(np.meshgrid(*[np.arange(-side, side + 1)] * 2), -1).reshape(-1, 2)
+    inside = k[np.hypot(*(k @ M.as_array().T).T) <= radius * (1 - 1e-12)]
+    assert np.all(np.abs(inside) <= box)
 
 
 def lattice_entries():
@@ -239,10 +273,19 @@ def near_singular():
 @example(entries=(1, 0, 0, -math.inf))
 @example(entries=(1e154, 0, 0, 1e154))
 @example(entries=(1e-160, 0, 0, 1e-163))
+@example(entries=(1e300, 1e300, 1e300, 1e300 * (1 + 1e-15)))
+@example(entries=(1e-160, 2e-160, 2e-160, 4e-160 * (1 + 1e-12)))
 def test_lattice_matrix_rejects_what_its_field_validation_rejects(entries):
     # NaN, infinities and numerically singular matrices, with the message
-    # of the field-by-field validation; every other matrix is accepted
+    # of the field-by-field validation on the matrix scaled by its largest
+    # entry; every other matrix is accepted. Where the unscaled validation
+    # neither overflows nor underflows, it is the same
     want = lattice_matrix_error(*entries)
+    values = [float(e) for e in entries if e != 0]
+    frob2 = sum(v * v for v in values)
+    products = [a * b for a in values for b in values] + [frob2, 1e-14 * frob2]
+    if all(sys.float_info.min <= abs(p) < math.inf for p in products):
+        assert want == lattice_matrix_error(*entries, scaled=False)
     if want is None:
         M = LatticeMatrix(*entries)
         assert (M.m11, M.m12, M.m21, M.m22) == tuple(map(float, entries))

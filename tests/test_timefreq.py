@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermgabor import (BudgetError, CapacityError, LatticeMatrix, Region,
                        VectorWindow, ambiguity, certificate, default_region,
                        osc_l1, stft)
-from hermgabor.grid import nyquist_step
+from hermgabor.timefreq import nyquist_step
 from hermgabor.lattice import DEFAULT_POINT_BUDGET
 
 from _oracles import region_error
@@ -56,6 +56,33 @@ def test_stft_nyquist_guard_and_the_closed_form_has_none(dilation):
     assert np.all(np.isfinite(F.values))
     cert = certificate(w, LatticeMatrix(0.1, 0, 0, 0.1), region)
     assert 0.0 < cert.ratio < math.inf
+
+
+def walk_ulps(x, k):
+    """The float k steps of one ulp from x (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(0, 40), dilation=st.floats(0.01, 100.0),
+       offset=st.one_of(st.integers(-3, 3), st.floats(-8.0, 8.0)))
+def test_nyquist_step_is_the_guard(n, dilation, offset):
+    # stft raises exactly where its step 1/32 is coarser than the guard's
+    # step for the region's largest modulation xi: at xi + sqrt(2n+1)/(2 pi
+    # sqrt(a)) = 15 up to rounding, probed a few ulps either side of it
+    edge = 15.0 - math.sqrt(2 * n + 1) / (2 * math.pi * math.sqrt(dilation))
+    xi = walk_ulps(edge, offset) if isinstance(offset, int) else edge + offset
+    assume(xi > 0)
+    region = Region(x_half=0.5, xi_half=xi, x_step=0.25, xi_step=xi)
+    assert region.xi_axis[-1] == xi
+    w = VectorWindow((n,), dilation)
+    if nyquist_step(xi, n, dilation) < 1 / 32:
+        with pytest.raises(CapacityError, match="Nyquist guard violated"):
+            stft(w, region)
+    else:
+        assert np.all(np.isfinite(stft(w, region).values))
 
 
 def test_region_axes_symmetric():
