@@ -28,10 +28,16 @@ is sampled on the region's grid, which understates the continuous
 oscillation. ``Certificate`` applies the formulas above to that R.
 
 F of a Hermite window is computed in closed form, as a sum of Laguerre
-functions (see ``ambiguity``); R is computed from the running maxima and
-minima of the real field over the oscillation disc (see ``oscillation``).
-The certificate evaluates both on one quadrant of the plane and folds their
-sums by symmetry (see ``certificate``).
+functions (see ``ambiguity``); R is computed from the running maxima of the
+real field F and of -F over the oscillation disc, since F - min_D F is
+F + max_D(-F) bit for bit (see ``oscillation``). Each running max is a
+contiguous 1-D pass over a flat buffer in which every row of the field is
+followed by guard cells of -inf, as many as the disc's widest half-width,
+so that shifts along both axes are shifts of the flat buffer (see
+``_oscillation``). The certificate evaluates F and R on one quadrant of the
+plane and folds their sums by symmetry (see ``certificate``). A field costs
+its quadrant's nodes times the window's Laguerre steps, which
+FIELD_WORK_BUDGET bounds (see ``check_field_work``).
 
 Only the radius r depends on the lattice. F on the quadrant, its
 boundary-decay check, its total variation and the box that holds its
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ResolutionError
+from .errors import BudgetError, PreconditionError, ResolutionError
 from .hermite import VectorWindow, rescale_large
 from .lattice import LatticeMatrix, box_norm, covolume
 from .timefreq import (TWO_PI, Region, SampledField, _dilated_region,
@@ -78,12 +84,31 @@ _FIELD_BLOCK = 32768
 # windows (with their regions) whose certificate fields are kept: a whole
 # ladder d = 0..7 of one region
 _FIELD_CACHE_SIZE = 8
+# quadrant nodes times Laguerre steps one certificate field may cost. A
+# node-step takes 4-5 ns on a 2-vCPU x86 host, so this is ~5 s of work: the
+# default region at step 1/16 fits it up to d = 1626, 14 times the work of
+# d = 400 (6.9e7) and a third of that of d = 3000 (3.3e9, ~15-40 s)
+FIELD_WORK_BUDGET = 10 ** 9
 
 
 def certification_window(d: int, region: Region = None) -> VectorWindow:
     """The window (h_0,...,h_d). A window needs no grid, so ``region`` is
     unused; it stays because perfbench/workloads.py passes it."""
     return VectorWindow(tuple(range(d + 1)))
+
+
+def check_field_work(w: VectorWindow, region: Region) -> None:
+    """BudgetError when the window's certificate field on the region, its
+    quadrant's nodes (the region's axes from the node before 0 on) times the
+    max index + 1 steps of the Laguerre recurrence, exceeds
+    FIELD_WORK_BUDGET."""
+    nodes = ((round(region.x_half / region.x_step) + 2)
+             * (round(region.xi_half / region.xi_step) + 2))
+    steps = max(w.indices) + 1
+    if nodes * steps > FIELD_WORK_BUDGET:
+        raise BudgetError(
+            f"certificate field of {nodes} nodes x {steps} Laguerre steps "
+            f"exceeds work budget {FIELD_WORK_BUDGET}")
 
 
 def _laguerre_field(w: VectorWindow, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -220,10 +245,11 @@ def oscillation(F: SampledField, r: float) -> SampledField:
     distance < r of p, for a real field (ValueError for a complex one).
 
     Over the disc D(p) (p included) the sup is max(max_D F - F(p),
-    F(p) - min_D F). D(p) is a stack of rows |dj| <= w(di), so running max
-    and min of F over xi-windows of half-width w = 0, 1, ... are folded into
-    the disc max and min, each row offset at its own half-width. Rounding is
-    monotone, so the result equals the sup of the rounded |F(p) - F(q)|.
+    F(p) + max_D(-F)). D(p) is a stack of rows |dj| <= w(di), so running
+    maxima of F, and of -F, over xi-windows of half-width w = 0, 1, ... are
+    folded into the disc maxima, each row offset at its own half-width.
+    Rounding is monotone, so the result equals the sup of the rounded
+    |F(p) - F(q)|.
     """
     values = F.values
     if np.iscomplexobj(values):
@@ -238,31 +264,48 @@ def oscillation(F: SampledField, r: float) -> SampledField:
 def _oscillation(values: np.ndarray, rows: list) -> np.ndarray:
     """The values of ``oscillation`` for the disc rows [(di, w)] that
     ``_disc_rows`` gives for the field: the grid steps enter only through
-    them."""
+    them.
+
+    Every running max is one contiguous 1-D call on a flat buffer: each row
+    of the field is followed by w_0 = rows[0][1] guard cells of -inf, w_0
+    the widest half-width, so a shift by k <= w_0 along xi is a shift by k
+    of the flat buffer, whose wrap from one row into the next reads only
+    guards, and a shift by di along x is a shift by di (nxi + w_0). The min
+    side is the max side of -F: negation is exact, so F + max_D(-F) is
+    F - min_D F bit for bit."""
     nx, nxi = values.shape
-    # the max side, then the min side, through one run buffer
-    run = np.empty_like(values)
-    sides = []
-    for op in (np.maximum, np.minimum):
-        np.copyto(run, values)
-        disc = values.copy()
-        width = 0
+    width = nxi + rows[0][1]
+    size = nx * width
+    field = np.empty((nx, width))
+    field[:, nxi:] = -np.inf
+    flat = field.reshape(-1)
+    run, disc = np.empty(size), np.empty(size)
+    for negated in (False, True):
+        # the max side of F, then that of -F, through the same buffers
+        if negated:
+            np.negative(values, out=field[:, :nxi])
+        else:
+            field[:, :nxi] = values
+        np.copyto(run, flat)
+        np.copyto(disc, flat)
+        reach = 0
         # half-widths are nonincreasing in di: visit the rows widest last
         for di, w in rows[::-1]:
-            for k in range(width + 1, w + 1):
-                op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
-                op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
-            width = w
-            for s in {di, -di}:
-                dst = slice(max(-s, 0), nx - max(s, 0))
-                src = slice(max(s, 0), nx - max(-s, 0))
-                op(disc[dst], run[src], out=disc[dst])
-        sides.append(disc)
-    disc_max, disc_min = sides
-    disc_max -= values
-    np.subtract(values, disc_min, out=disc_min)
-    np.maximum(disc_max, disc_min, out=disc_max)
-    return disc_max
+            for k in range(reach + 1, w + 1):
+                np.maximum(run[k:], flat[:size - k], out=run[k:])
+                np.maximum(run[:size - k], flat[k:], out=run[:size - k])
+            reach = w
+            s = di * width
+            np.maximum(disc[s:], run[:size - s], out=disc[s:])
+            if s:
+                np.maximum(disc[:size - s], run[s:], out=disc[:size - s])
+        top = disc.reshape(nx, width)[:, :nxi]
+        if negated:
+            np.add(values, top, out=top)
+            np.maximum(osc, top, out=osc)
+        else:
+            osc = top - values
+    return osc
 
 
 def osc_l1(F: SampledField, r: float) -> float:
@@ -347,7 +390,9 @@ def _window_field(w: VectorWindow, region: Region) -> tuple:
 
     Kept for the last _FIELD_CACHE_SIZE windows and regions, which are
     frozen values; an exception is not kept, so a region that cuts F off
-    fails on every call."""
+    fails on every call. BudgetError before any work when the field
+    exceeds the work budget (``check_field_work``)."""
+    check_field_work(w, region)
     x, xi = (axis[axis.size // 2 - 1:] for axis in (region.x_axis, region.xi_axis))
     values = _laguerre_field(w, x, xi)
     ring, support = _decay(values)
@@ -443,7 +488,9 @@ def certificate_to_json(cert: Certificate) -> str:
         "matrix": [[cert.matrix.m11, cert.matrix.m12],
                    [cert.matrix.m21, cert.matrix.m22]],
     }
-    return json.dumps(record, indent=2)
+    # JSON has no inf or NaN: a float past the floats is written null
+    return json.dumps({k: v if not isinstance(v, float) or math.isfinite(v) else None
+                       for k, v in record.items()}, indent=2, allow_nan=False)
 
 
 def certificate_from_json(text: str) -> Certificate:

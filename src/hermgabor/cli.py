@@ -31,7 +31,7 @@ from .frameop import (DEFAULT_GALERKIN_DIM, GaborSystemSpec, bounds_to_json,
 from .hermite import dilated_hermite
 from .lattice import DEFAULT_POINT_BUDGET, LatticeMatrix, box_norm
 from .certify import (certificate, certificate_to_json, certification_window,
-                      check_resolution)
+                      check_field_work, check_resolution)
 from .scan import (DEFAULT_SCAN_GALERKIN_DIM, covariance_deviation,
                    covariance_pair, records_to_csv, scan_ladder, scan_records)
 from .timefreq import REGION_STEP, default_region
@@ -234,6 +234,7 @@ def _prepare_certify(cfg: dict):
     region = default_region(d, cfg.get("region_step", REGION_STEP))
     w = certification_window(d)
     check_resolution(box_norm(M), region.x_step, region.xi_step)
+    check_field_work(w, region)
 
     def run():
         cert = certificate(w, M, region)

@@ -484,7 +484,9 @@ def bounds_to_json(spec: GaborSystemSpec, fb: FrameBounds) -> str:
         "det": spec.matrix.determinant,
         "box_norm": box_norm(spec.matrix),
     }
-    return json.dumps(record, indent=2)
+    # JSON has no inf or NaN: a float past the floats is written null
+    return json.dumps({k: v if not isinstance(v, float) or math.isfinite(v) else None
+                       for k, v in record.items()}, indent=2, allow_nan=False)
 
 
 def bounds_from_json(text: str) -> FrameBounds:

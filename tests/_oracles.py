@@ -235,6 +235,37 @@ def oscillation_oracle(F, r):
     return out
 
 
+def row_oscillation_oracle(values, rows):
+    """The certificate's oscillation kernel (``certify._oscillation``) as it
+    was before its flat-buffer layout: the disc max and min of the real
+    field over the disc rows [(di, w)], each running max and min a 2-D call
+    on row-strided views."""
+    nx, nxi = values.shape
+    # the max side, then the min side, through one run buffer
+    run = np.empty_like(values)
+    sides = []
+    for op in (np.maximum, np.minimum):
+        np.copyto(run, values)
+        disc = values.copy()
+        width = 0
+        # half-widths are nonincreasing in di: visit the rows widest last
+        for di, w in rows[::-1]:
+            for k in range(width + 1, w + 1):
+                op(run[:, k:], values[:, :nxi - k], out=run[:, k:])
+                op(run[:, :nxi - k], values[:, k:], out=run[:, :nxi - k])
+            width = w
+            for s in {di, -di}:
+                dst = slice(max(-s, 0), nx - max(s, 0))
+                src = slice(max(s, 0), nx - max(-s, 0))
+                op(disc[dst], run[src], out=disc[dst])
+        sides.append(disc)
+    disc_max, disc_min = sides
+    disc_max -= values
+    np.subtract(values, disc_min, out=disc_min)
+    np.maximum(disc_max, disc_min, out=disc_max)
+    return disc_max
+
+
 def full_field_certificate(w, M, region):
     """(R, eps_disc) of the certificate of window w on lattice M from the
     field over the whole region: ``ambiguity``, the L1 norm of its

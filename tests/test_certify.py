@@ -1,16 +1,20 @@
+import importlib.util
 import itertools
 import json
 import math
 from bisect import bisect_left
+from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hermgabor.certify as certify_module
-from hermgabor import (GaborSystemSpec, LatticeMatrix,
+from hermgabor import (BudgetError, GaborSystemSpec, LatticeMatrix,
                        PreconditionError, Region, ResolutionError,
                        SampledField, VectorWindow, ambiguity, box_norm,
                        certificate, certificate_from_json,
@@ -18,14 +22,14 @@ from hermgabor import (GaborSystemSpec, LatticeMatrix,
                        default_region, dilated_hermite_all, frame_bounds,
                        osc_l1, oscillation, stft)
 from hermgabor.certify import (_FIELD_CACHE_SIZE, BOUNDARY_DECAY_TOL,
-                               SUPPORT_TOL, _disc_rows, _fold,
+                               SUPPORT_TOL, _disc_rows, _fold, check_field_work,
                                _laguerre_field, _oscillation, _squares,
                                _window_field, _window_region)
 from hermgabor.timefreq import (WIDE_REGION_DEGREE, _dilated_region,
                                 _stretched_region)
 
 from _oracles import (full_field_certificate, hermite_grid, oscillation_oracle,
-                      twisted_convolve)
+                      row_oscillation_oracle, twisted_convolve)
 
 GOLDEN_R_02 = 1.8721375061376446  # oscillation ratio of h^0 at r = 0.2
 
@@ -216,6 +220,66 @@ def test_oscillation_disc_wider_than_the_field(r):
     assert [di for di, _ in rows] == list(range(shape[0]))
     assert max(w for _, w in rows) == shape[1] - 1
     assert np.array_equal(oscillation(F, r).values, oscillation_oracle(F, r))
+
+
+STEPS = st.sampled_from([1 / 32, 1 / 16, 0.037, 0.1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                         elements=st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                                            st.floats(-1e3, 1e3))),
+       hx=STEPS, hxi=STEPS, scale=st.floats(1.0 + 1e-12, 200.0))
+@example(values=np.zeros((1, 1)), hx=1 / 16, hxi=1 / 32, scale=1.0 + 1e-12)
+@example(values=np.array([[0.0, -0.0, 1.0, 1.0, -0.0]]), hx=0.1, hxi=1 / 32,
+         scale=200.0)
+@example(values=np.array([[1.0], [-0.0], [0.0], [1.0]]), hx=1 / 32, hxi=0.1,
+         scale=200.0)
+@example(values=np.random.default_rng(13).choice([-1.0, -0.0, 0.0, 1.0], size=(40, 40)),
+         hx=0.037, hxi=1 / 16, scale=1.0 + 1e-12)
+@example(values=np.random.default_rng(14).choice([-1.0, -0.0, 0.0, 1.0], size=(40, 37)),
+         hx=1 / 16, hxi=0.037, scale=200.0)
+def test_oscillation_kernel_matches_the_row_kernel(values, hx, hxi, scale):
+    # the flat-buffer kernel against the row-by-row one it replaced and the
+    # offset oracle, from a single node to discs past the field on both
+    # axes (w_0 = nxi - 1 and di = nx - 1); bit for bit, ties and signed
+    # zeros included
+    shape = values.shape
+    r = min(hx, hxi) * scale
+    rows = _disc_rows(hx, hxi, r, shape)
+    # a one-node axis has no step, so the oracle is handed the steps
+    F = SimpleNamespace(x_step=hx, xi_step=hxi, values=values)
+    osc = _oscillation(values, rows)
+    assert osc.shape == shape
+    assert np.array_equal(osc, row_oscillation_oracle(values, rows))
+    assert np.array_equal(osc, oscillation_oracle(F, r))
+    if scale == 200.0:
+        assert rows[0][1] == shape[1] - 1 and rows[-1][0] == shape[0] - 1
+
+
+def test_oscillation_kernel_matches_the_row_kernel_on_the_pool():
+    # the views the certificate runs the kernel on for the benchmark's
+    # certify pool: its three windows, at every pool radius
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads",
+        Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = set()
+    for cell in workloads.build_pools()["certify"]:
+        for p in cell:
+            region = workloads.certify_region(p["d"])
+            F, _, support, *_ = _window_field(certification_window(p["d"]), region)
+            r = box_norm(workloads.lattice(p["t"], p["theta"], p["shear"]))
+            rows = _disc_rows(F.x_step, F.xi_step, r, F.values.shape)
+            if (p["d"], tuple(rows)) in seen:
+                continue
+            seen.add((p["d"], tuple(rows)))
+            view = F.values[:support[0] + 2 * len(rows) + 1,
+                            :support[1] + 2 * (rows[0][1] + 1) + 1]
+            assert np.array_equal(_oscillation(view, rows),
+                                  row_oscillation_oracle(view, rows))
+    assert len(seen) == 30
 
 
 def test_oscillation_golden(gauss_field):
@@ -850,6 +914,39 @@ def test_rank_of_r_squared_names_the_disc(hx, hxi, shape, nodes):
                 assert bisect_left(table, r * r) == k
             else:
                 assert bisect_left(table, r * r) == len(table) <= k
+
+
+def test_field_work_budget(monkeypatch):
+    # the field's work is its quadrant's nodes times the window's max
+    # index + 1 Laguerre steps, checked before any of it is done
+    w, region = VectorWindow((2, 0, 3)), default_region(3)
+    _window_field.cache_clear()
+    nodes = _window_field(w, region)[0].values.size
+    work = nodes * 4
+    M = LatticeMatrix(0.1, 0, 0, 0.1)
+
+    def fail(*args):
+        raise AssertionError("not called")
+
+    for budget in (work, work - 1):
+        _window_field.cache_clear()
+        monkeypatch.setattr(certify_module, "FIELD_WORK_BUDGET", budget)
+        if budget == work:
+            certificate(w, M, region)
+            # a hit is not checked again
+            monkeypatch.setattr(certify_module, "check_field_work", fail)
+            certificate(w, M, region)
+        else:
+            monkeypatch.setattr(certify_module, "_laguerre_field", fail)
+            with pytest.raises(BudgetError, match=f"field of {nodes} nodes x 4 "
+                               f"Laguerre steps exceeds work budget {budget}"):
+                certificate(w, M, region)
+        monkeypatch.undo()
+    _window_field.cache_clear()
+    # d = 400 at step 1/16 is 6.9e7 node-steps, d = 3000 3.3e9
+    check_field_work(certification_window(400), default_region(400))
+    with pytest.raises(BudgetError, match="1090986 nodes x 3001 Laguerre steps"):
+        check_field_work(certification_window(3000), default_region(3000))
 
 
 def test_a_hit_runs_neither_the_disc_nor_the_oscillation(monkeypatch):

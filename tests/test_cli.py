@@ -8,9 +8,21 @@ from hermgabor.cli import CONFIG_FIELDS, main, validate
 from hermgabor.scan import SCAN_CSV_HEADER
 
 
+def strict_loads(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which RFC 8259
+    JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, *argv):
+    """(exit code, stdout, stderr) of the CLI; every JSON record it prints
+    must parse strictly."""
     code = main(list(argv))
     out, err = capsys.readouterr()
+    if out.startswith("{"):
+        strict_loads(out)
     return code, out, err
 
 
@@ -59,6 +71,7 @@ def test_bounds_json_file(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", "--d", "0", "--matrix",
                        "0.5,0,0,0.5", "--K", "16", "--output", str(out_file))
     assert code == 0 and out.count("A_est=") == 1
+    strict_loads(out_file.read_text())
     fb = bounds_from_json(out_file.read_text())
     assert 0 < fb.A_est <= fb.B_est
     assert fb.galerkin_dim == 16
@@ -138,6 +151,7 @@ def test_certify_json(tmp_path, capsys):
                        "0.1,0,0,0.1", "--output", str(out_file))
     assert code == 0
     assert out.count("certificate valid") == 1
+    strict_loads(out_file.read_text())
     cert = certificate_from_json(out_file.read_text())
     assert cert.valid
 
@@ -384,6 +398,10 @@ REJECTED = [
     # a half over a subnormal step overflowed while rounding: a traceback
     ("certify --d 0 --matrix 0.1,0,0,0.1 --region-step 1e-320", 3,
      "exceeds point budget"),
+    # a field of 3.3e9 node-steps, ~15-40 s of work: "ok" before
+    ("certify --d 3000 --matrix 0.1,0,0,0.1", 3,
+     "certificate field of 1090986 nodes x 3001 Laguerre steps exceeds "
+     "work budget 1000000000"),
 ]
 
 
@@ -410,6 +428,23 @@ def test_overflowing_lattices_name_the_overflow(capsys, matrix):
         code, out, err = run(capsys, *argv, *extra)
         assert code == 2 and "overflow" in out + err
         assert "invertible" not in out + err and "dilation" not in out + err
+
+
+@pytest.mark.parametrize("command", [
+    "bounds --d 0 --matrix 1e155,0,0,1e155 --K 16",
+    "certify --d 0 --matrix 1e155,0,0,1e155",
+])
+def test_fields_past_the_floats_are_null(tmp_path, capsys, command):
+    # |det M| = 1e310 is past the floats: "det": Infinity before, which is
+    # not JSON; printed or written to a file, the record is strict JSON
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and strict_loads(out)["det"] is None
+    out_file = tmp_path / "record.json"
+    code, _, _ = run(capsys, *command.split(), "--output", str(out_file))
+    assert code == 0 and out_file.read_text() == out.rstrip("\n")
+    if command.startswith("certify"):
+        cert = certificate_from_json(out)
+        assert cert.matrix.m11 == 1e155 and not cert.valid
 
 
 @pytest.mark.parametrize("command,run_code,message", REJECTED + ADMITTED)

@@ -49,9 +49,14 @@ def test_refinement_widens_bracket():
 
 def test_dense_gaussian_near_tight():
     fb = frame_bounds(make_spec(t=0.25, K=32), check_convergence=False)
-    # density 16 Gaussian: exact bounds 16*(1 -/+ 2e^{-4}) bracket the estimate
-    assert 16 * (1 - 2 * math.exp(-4)) - 1e-6 < fb.A_est < fb.B_est
-    assert fb.B_est < 16 * (1 + 2 * math.exp(-4)) + 1e-6
+    # density 16 Gaussian: Janssen's sum keeps only the translations T_{4k}
+    # (the modulations by 4 carry e^{-16 pi^2}), so the frame operator's
+    # spectrum is that of 16 sum_k e^{-4k^2} e^{2 pi i 4k w}, and its exact
+    # bounds are the theta series 16 sum_k (-+1)^k e^{-4k^2} = 15.4139032,
+    # 16.5861040, which the Galerkin compression brackets from inside
+    A, B = (16 * math.fsum(sign ** k * math.exp(-4 * k * k) for k in range(-6, 7))
+            for sign in (-1, 1))
+    assert A - 1e-12 * B < fb.A_est <= fb.B_est < B + 1e-12 * B
 
 
 def test_tail_bound_small():
